@@ -16,11 +16,17 @@ an exhaustive value-semantics checker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+
+from .state import combine
 
 #: Mode index of the one-bit register in the canonical ordering.
 BIT_REGISTER = -1
+
+#: Merge tolerance that drops exactly cancelled terms and nothing else:
+#: bit-level amplitudes are exact, so any nonzero sum is kept.
+_EXACT_ZEROS_ONLY = math.ulp(0.0)
 
 
 @dataclass(frozen=True, order=True)
@@ -147,22 +153,13 @@ def _as_op(value) -> FermiOp:
     raise TypeError(f"cannot use {value!r} as a bit operator")
 
 
-def _merge(terms: Iterable[tuple[complex, BitBasisState]]) -> list[tuple[complex, BitBasisState]]:
-    acc: dict[BitBasisState, complex] = {}
-    for amp, state in terms:
-        acc[state] = acc.get(state, 0j) + amp
-    out = [(amp, state) for state, amp in acc.items() if amp != 0]
-    out.sort(key=lambda t: t[1])
-    return out
-
-
 def apply_fermi(op: FermiOp, state: BitBasisState) -> list[tuple[complex, BitBasisState]]:
     """Apply a bit operator tree to one basis state.
 
     Returns merged (amplitude, state) terms; an empty list means the state
     was annihilated. Amplitudes are exact (signs and small integers only).
     """
-    return _merge(_apply(op, [(1.0 + 0j, state)]))
+    return combine(_apply(op, [(1.0 + 0j, state)]), _EXACT_ZEROS_ONLY)
 
 
 def _apply(
@@ -192,10 +189,10 @@ def _apply(
         out = []
         for branch in op.terms:
             out.extend(_apply(branch, terms))
-        return _merge(out)
+        return combine(out, _EXACT_ZEROS_ONLY)
     if isinstance(op, FProduct):
         for factor in reversed(op.factors):
-            terms = _merge(_apply(factor, terms))
+            terms = combine(_apply(factor, terms), _EXACT_ZEROS_ONLY)
         return terms
     raise TypeError(f"not a bit operator: {op!r}")
 
@@ -338,7 +335,7 @@ def anticommutator_is_delta(i: int, j: int, mode_count: int) -> bool:
         forward = _apply(BLower(i), forward)
         backward = _apply(BLower(i), [(1.0 + 0j, state)])
         backward = _apply(BRaise(j), backward)
-        combined = _merge(forward + backward)
+        combined = combine(forward + backward, _EXACT_ZEROS_ONLY)
         expected = [(complex(delta), state)] if delta else []
         if combined != expected:
             return False
@@ -351,7 +348,7 @@ def anticommutator_vanishes(i: int, j: int, mode_count: int, daggered: bool) -> 
     for state in all_states(mode_count):
         one = _apply(op(i), _apply(op(j), [(1.0 + 0j, state)]))
         two = _apply(op(j), _apply(op(i), [(1.0 + 0j, state)]))
-        if _merge(one + two):
+        if combine(one + two, _EXACT_ZEROS_ONLY):
             return False
     return True
 

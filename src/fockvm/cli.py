@@ -15,15 +15,17 @@ import json
 import sys
 
 from . import bitlevel, evolution, grammar, qasm, qcc
-from .errors import MachineError, ParseError
+from .errors import JumpsNotSupported, MachineError, ParseError
 from .operators import sexpr
 from .state import (
     BasisState,
     deserialize,
+    parse_amplitude,
     probabilities,
     round_significant,
     sample,
     serialize,
+    state_record,
 )
 
 EXIT_OK = 0
@@ -62,26 +64,17 @@ def _parse_input_list(text: str | None) -> list[int]:
         raise UsageError(f"bad input list {text!r}, expected comma-separated integers") from None
 
 
-def _parse_amplitude(text: str) -> complex:
-    text = text.strip()
-    try:
-        if text.startswith("(") and text.endswith(")"):
-            re_part, im_part = text[1:-1].split(",")
-            return complex(float(re_part), float(im_part))
-        return complex(float(text), 0.0)
-    except ValueError:
-        raise UsageError(f"bad amplitude {text!r}, expected re or (re,im)") from None
+def _int_at_least(low: int):
+    """argparse ``type=`` for an integer flag with a lower bound."""
 
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
 
-def _state_record(state: BasisState) -> dict:
-    return {
-        "register": state.register,
-        "pc": state.pc,
-        "fuel": state.fuel,
-        "mem": {str(addr): value for addr, value in state.mem},
-        "input": list(state.input),
-        "output": list(state.output),
-    }
+    parse.__name__ = "int"  # argparse reports malformed text as "invalid int value"
+    return parse
 
 
 def _state_label(state: BasisState) -> str:
@@ -136,7 +129,7 @@ def _run_result_payload(result: qasm.RunResult) -> dict:
                 "amplitude": [round_significant(amp.real), round_significant(amp.imag)],
                 "probability": round_significant(probs.get(state, 0.0)),
                 "halted": halted,
-                "state": _state_record(state),
+                "state": state_record(state),
             }
         )
     return {"steps": result.steps_executed, "terms": terms}
@@ -257,10 +250,11 @@ def _cmd_grammar_prob(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    if args.hamiltonian == "hop":
-        h = evolution.build_hop_hamiltonian(args.modes)
-    else:
-        h = evolution.build_adder_hamiltonian(args.modes)
+    build = {"hop": evolution.build_hop_hamiltonian, "adder": evolution.build_adder_hamiltonian}
+    try:
+        h = build[args.hamiltonian](args.modes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     start = deserialize(_read(args.state))
     evolved = evolution.evolve(h, start, args.time, args.order)
     table = []
@@ -268,7 +262,7 @@ def _cmd_evolve(args) -> int:
     for amp, state in evolved.terms:
         table.append(
             {
-                "state": _state_record(state),
+                "state": state_record(state),
                 "amplitude": [round_significant(amp.real), round_significant(amp.imag)],
                 "raw": round_significant(abs(amp) ** 2),
                 "normalized": round_significant(probs.get(state, 0.0)),
@@ -295,7 +289,11 @@ def _cmd_superpose(args) -> int:
         path, sep, amp_text = spec_text.rpartition("@")
         if not sep:
             raise UsageError(f"term {spec_text!r} needs the form file@amplitude")
-        programs.append((_parse_amplitude(amp_text), qasm.parse_program(_read(path))))
+        try:
+            amp = parse_amplitude(amp_text)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        programs.append((amp, qasm.parse_program(_read(path))))
     result = qasm.run_superposed(programs, _parse_input_list(args.input), fuel=args.fuel)
     if args.json:
         _emit(args, _json_dumps(_run_result_payload(result)))
@@ -360,7 +358,7 @@ def _cmd_qc_compile(args) -> int:
     else:
         try:
             expr = qasm.compile_sequential(program)
-        except MachineError:
+        except JumpsNotSupported:
             expr = qasm.compile_guarded(program, fuel=args.fuel)
         if args.json:
             _emit(args, _json_dumps({"expression": sexpr(expr)}))
@@ -408,7 +406,7 @@ def _cmd_sample(args) -> int:
             "count": args.count,
             "seed": args.seed,
             "counts": [
-                {"state": _state_record(state), "count": n} for state, n in rows
+                {"state": state_record(state), "count": n} for state, n in rows
             ],
         }
         _emit(args, _json_dumps(payload))
@@ -424,8 +422,8 @@ def _cmd_sample(args) -> int:
 def _add_run_flags(parser) -> None:
     parser.add_argument("--input", default="", help="comma-separated input values")
     parser.add_argument("--mode", choices=["interp", "algebraic"], default="interp")
-    parser.add_argument("--fuel", type=int, default=qasm.DEFAULT_FUEL)
-    parser.add_argument("--step-limit", type=int, default=qasm.DEFAULT_STEP_LIMIT)
+    parser.add_argument("--fuel", type=_int_at_least(0), default=qasm.DEFAULT_FUEL)
+    parser.add_argument("--step-limit", type=_int_at_least(1), default=qasm.DEFAULT_STEP_LIMIT)
 
 
 def _add_common(parser) -> None:
@@ -451,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="print a program's operator expression")
     p.add_argument("file")
     p.add_argument("--form", choices=["sequential", "guarded"], default="sequential")
-    p.add_argument("--fuel", type=int, default=qasm.DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_int_at_least(0), default=qasm.DEFAULT_FUEL)
     _add_common(p)
     p.set_defaults(func=_cmd_compile)
 
@@ -461,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("derive", help="outcome distribution after some steps")
     g.add_argument("file")
     g.add_argument("--from", dest="source", default=None)
-    g.add_argument("--steps", type=int, default=1)
+    g.add_argument("--steps", type=_int_at_least(0), default=1)
     g.add_argument("--mode", choices=["step", "pass"], default="step")
     g.add_argument("--position", type=int, default=None)
     _add_common(g)
@@ -471,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("file")
     g.add_argument("--from", dest="source", default=None)
     g.add_argument("--to", dest="target", required=True)
-    g.add_argument("--max-steps", type=int, default=1)
+    g.add_argument("--max-steps", type=_int_at_least(0), default=1)
     g.add_argument("--mode", choices=["step", "pass"], default="step")
     g.add_argument("--position", type=int, default=None)
     _add_common(g)
@@ -482,21 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--state", required=True, help="state file in the canonical text format")
     p.add_argument("-t", "--time", type=float, default=0.1)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_int_at_least(0), default=8)
     _add_common(p)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("superpose", help="run an amplitude-weighted set of programs")
     p.add_argument("term", nargs="+", help="program terms, each file@amplitude")
     p.add_argument("--input", default="")
-    p.add_argument("--fuel", type=int, default=qasm.DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_int_at_least(0), default=qasm.DEFAULT_FUEL)
     _add_common(p)
     p.set_defaults(func=_cmd_superpose)
 
     p = sub.add_parser("bit", help="bit-level relation suites")
     bsub = p.add_subparsers(dest="bit_command", required=True)
     b = bsub.add_parser("verify", help="anticommutation and semantics checks")
-    b.add_argument("--modes", type=int, default=6)
+    b.add_argument("--modes", type=_int_at_least(2), default=6)
     _add_common(b)
     b.set_defaults(func=_cmd_bit_verify)
 
@@ -506,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("--emit", choices=["qasm", "opexpr"], default="qasm")
     q.add_argument("--window", type=int, default=qcc.DEFAULT_WINDOW)
-    q.add_argument("--fuel", type=int, default=qasm.DEFAULT_FUEL)
+    q.add_argument("--fuel", type=_int_at_least(0), default=qasm.DEFAULT_FUEL)
     _add_common(q)
     q.set_defaults(func=_cmd_qc_compile)
     q = qsub.add_parser("run", help="compile and run a source file")
@@ -518,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="seeded measurement counts for a state file")
     p.add_argument("file")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_sample)

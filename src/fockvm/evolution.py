@@ -19,7 +19,7 @@ from math import factorial
 import numpy as np
 
 from .errors import StateSpaceTooLarge, TruncationOverflow
-from .isa import Instruction, Opcode, immediate
+from .isa import Instruction, Opcode, address, immediate
 from .operators import (
     REGISTER,
     Clear,
@@ -36,7 +36,7 @@ from .operators import (
     summation,
 )
 from .qasm import instruction_operator
-from .state import BasisState, Superposition, merge
+from .state import BasisState, Superposition, merge, unit
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,13 @@ def assembly_hop_term(m: int) -> OperatorExpr:
     amplitudes of the ladder form are absent; an empty source underflows
     instead of annihilating.
     """
-    load_m = instruction_operator(Instruction(Opcode.LOAD, _addr(m)))
-    store_m = instruction_operator(Instruction(Opcode.STORE, _addr(m)))
-    load_m1 = instruction_operator(Instruction(Opcode.LOAD, _addr(m + 1)))
-    store_m1 = instruction_operator(Instruction(Opcode.STORE, _addr(m + 1)))
+    load_m = instruction_operator(Instruction(Opcode.LOAD, address(m)))
+    store_m = instruction_operator(Instruction(Opcode.STORE, address(m)))
+    load_m1 = instruction_operator(Instruction(Opcode.LOAD, address(m + 1)))
+    store_m1 = instruction_operator(Instruction(Opcode.STORE, address(m + 1)))
     sub_one = instruction_operator(Instruction(Opcode.SUBTRACT, immediate(1)))
     add_one = instruction_operator(Instruction(Opcode.ADD, immediate(1)))
     return product(store_m1, add_one, load_m1, store_m, sub_one, load_m)
-
-
-def _addr(m: int):
-    from .isa import address
-
-    return address(m)
 
 
 def _check_boundary(h: Hamiltonian, s: Superposition) -> None:
@@ -162,8 +156,6 @@ def evolve(h: Hamiltonian, s0: Superposition, t: float, order: int) -> Superposi
 
 
 def _reachable_basis(h: Hamiltonian, s0: Superposition, order: int, bound: int) -> list[BasisState]:
-    from .state import unit
-
     seen: dict[BasisState, None] = {state: None for _, state in s0.terms}
     frontier = list(seen)
     for _ in range(order):
@@ -199,8 +191,6 @@ def dense_oracle_evolve(
     truncated series with matrix powers. Raises
     :class:`StateSpaceTooLarge` beyond ``bound`` states.
     """
-    from .state import unit
-
     basis = _reachable_basis(h, s0, order, bound)
     index = {state: i for i, state in enumerate(basis)}
     dim = len(basis)

@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NoRuleForSymbol, ParseError
+from .state import parse_amplitude
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -103,17 +104,6 @@ def _normalized_weights(grammar: Grammar) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _parse_weight(text: str, line: int) -> complex:
-    text = text.strip()
-    try:
-        if text.startswith("(") and text.endswith(")"):
-            re_part, im_part = text[1:-1].split(",")
-            return complex(float(re_part), float(im_part))
-        return complex(float(text), 0.0)
-    except ValueError:
-        raise ParseError(f"malformed weight {text!r}", line=line) from None
-
-
 def parse_grammar(text: str) -> Grammar:
     """Parse the line format: optional ``mode:`` line, a ``start:`` line,
     then ``rule: lhs -> rhs [@ weight]`` lines. ``#`` starts a comment.
@@ -147,7 +137,10 @@ def parse_grammar(text: str) -> Grammar:
             rhs = rhs.strip()
             if not lhs:
                 raise ParseError("rule left-hand side is empty", line=lineno)
-            weight = _parse_weight(weight_text, lineno) if weight_text.strip() else 1.0 + 0j
+            try:
+                weight = parse_amplitude(weight_text) if weight_text.strip() else 1.0 + 0j
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
             rules.append(Rule(lhs, rhs, weight))
         else:
             raise ParseError(f"unknown directive {key!r}", line=lineno)

@@ -19,8 +19,11 @@ primitives acting on machine basis states:
 * ``InstructionOp``: the amplitude-one value action of an arithmetic or
   bitwise assembly instruction on the register.
 * ``RecursiveRef``/``Define``: re-entry points for compiled programs with
-  backward jumps; ``Bra`` marks a term as halted (a halted term is inert
-  under every further operator).
+  backward jumps.
+* ``Bra``: halts a term. The term leaves the evaluator's working set at
+  once and is returned with the halted terms, so it is inert under every
+  further operator, ``Sum`` included; only an enclosing ``ScalarMul``
+  still scales it.
 
 Products apply right to left, sums distribute and merge, and guarded
 exponents are evaluated per basis term, so superposition terms evolve
@@ -36,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Mapping, Union
 
 from . import isa
 from .errors import (
@@ -46,7 +49,7 @@ from .errors import (
     UndefinedReference,
     UnsupportedLocation,
 )
-from .state import DROP_TOLERANCE, BasisState, Superposition, merge
+from .state import DROP_TOLERANCE, BasisState, Superposition, combine, merge
 
 #: Default evaluator recursion budget, matching the default fuel counter.
 DEFAULT_FUEL_BUDGET = 10
@@ -334,7 +337,7 @@ class RecursiveRef(OperatorExpr):
 
 @dataclass(frozen=True)
 class Bra(OperatorExpr):
-    """Marks a term halted; halted terms pass through everything unchanged."""
+    """Halts a term: it leaves evaluation and no further operator sees it."""
 
 
 @dataclass(frozen=True)
@@ -366,10 +369,8 @@ def scaled(scalar: complex, expr: OperatorExpr) -> OperatorExpr:
 # Evaluation
 
 
-class EvalTerm(NamedTuple):
-    amplitude: complex
-    state: BasisState
-    halted: bool
+#: An (amplitude, basis state) pair, the evaluator's unit of work.
+Term = tuple[complex, BasisState]
 
 
 class EvalStats:
@@ -423,108 +424,89 @@ def _copy_action(state: BasisState, dst: Location, src: Location) -> BasisState:
     return with_location(state, dst, value)
 
 
-def _merge_eval_terms(terms: Iterable[EvalTerm], tol: float) -> list[EvalTerm]:
-    acc: dict[tuple[BasisState, bool], complex] = {}
-    for amp, state, halted in terms:
-        key = (state, halted)
-        acc[key] = acc.get(key, 0j) + amp
-    kept = [
-        EvalTerm(amp, state, halted)
-        for (state, halted), amp in acc.items()
-        if abs(amp) >= tol
-    ]
-    kept.sort(key=lambda t: (t.state, t.halted))
-    return kept
-
-
 def _dispatch(
     expr: OperatorExpr,
-    terms: list[EvalTerm],
+    terms: list[Term],
     env: Mapping[str, OperatorExpr],
     budget: int,
     tol: float,
     stats: EvalStats | None,
-) -> list[EvalTerm]:
+    halted: list[Term],
+) -> list[Term]:
+    """Apply ``expr`` to the live ``terms`` and return the live results.
+
+    A term that reaches a ``Bra`` is appended to ``halted`` and leaves the
+    working set, so no further operator sees it.
+    """
     if isinstance(expr, Identity):
         return terms
 
     if isinstance(expr, (Raise, Lower, NumberOp, Clear, Copy)):
-        out: list[EvalTerm] = []
-        for term in terms:
-            if term.halted:
-                out.append(term)
-                continue
-            if stats is not None:
-                stats.primitive_ops += 1
-            for factor, state in apply_primitive(expr, term.state):
-                out.append(EvalTerm(term.amplitude * factor, state, False))
+        if stats is not None:
+            stats.primitive_ops += len(terms)
+        # Leaf handlers loop instead of using comprehensions: on Python 3.11
+        # a comprehension adds a frame at the deepest point of every
+        # re-entry chain, which lowers the recursion ceiling.
+        out: list[Term] = []
+        for amp, state in terms:
+            for factor, image in apply_primitive(expr, state):
+                out.append((amp * factor, image))
         return out
 
     if isinstance(expr, ScalarMul):
         if not cmath.isfinite(expr.scalar):
             raise ValueError(f"non-finite scalar {expr.scalar!r}")
-        live = _dispatch(expr.expr, [t for t in terms if not t.halted], env, budget, tol, stats)
-        scaled_terms = [EvalTerm(expr.scalar * t.amplitude, t.state, t.halted) for t in live]
-        return [t for t in terms if t.halted] + scaled_terms
+        stopped: list[Term] = []
+        live = _dispatch(expr.expr, terms, env, budget, tol, stats, stopped)
+        halted.extend((expr.scalar * amp, state) for amp, state in stopped)
+        return [(expr.scalar * amp, state) for amp, state in live]
 
     if isinstance(expr, Product):
         for factor in reversed(expr.factors):
-            terms = _merge_eval_terms(_dispatch(factor, terms, env, budget, tol, stats), tol)
+            terms = combine(_dispatch(factor, terms, env, budget, tol, stats, halted), tol)
         return terms
 
     if isinstance(expr, Sum):
         out = []
         for branch in expr.terms:
-            out.extend(_dispatch(branch, terms, env, budget, tol, stats))
-        return _merge_eval_terms(out, tol)
+            out.extend(_dispatch(branch, terms, env, budget, tol, stats, halted))
+        return combine(out, tol)
 
     if isinstance(expr, GuardedPower):
         out = []
         for term in terms:
-            if term.halted:
-                out.append(term)
-                continue
-            k = eval_exponent(expr.exponent, term.state)
+            k = eval_exponent(expr.exponent, term[1])
             if k < 0:
                 raise NegativeExponent(f"guarded power exponent evaluated to {k}")
             branch = [term]
             for _ in range(k):
-                branch = _dispatch(expr.base, branch, env, budget, tol, stats)
+                branch = _dispatch(expr.base, branch, env, budget, tol, stats, halted)
             out.extend(branch)
         return out
 
     if isinstance(expr, SetValue):
         out = []
-        for term in terms:
-            if term.halted:
-                out.append(term)
-                continue
-            value = eval_exponent(expr.value, term.state)
+        for amp, state in terms:
+            value = eval_exponent(expr.value, state)
             if value < 0:
                 raise NegativeExponent(f"set-value target evaluated to {value}")
             if stats is not None:
                 stats.primitive_ops += 1
-            out.append(EvalTerm(term.amplitude, with_location(term.state, expr.loc, value), False))
+            out.append((amp, with_location(state, expr.loc, value)))
         return out
 
     if isinstance(expr, InstructionOp):
+        if stats is not None:
+            stats.primitive_ops += len(terms)
         out = []
-        for term in terms:
-            if term.halted:
-                out.append(term)
-                continue
-            if stats is not None:
-                stats.primitive_ops += 1
-            out.append(EvalTerm(term.amplitude, isa.apply_to_state(expr.instr, term.state), False))
+        for amp, state in terms:
+            out.append((amp, isa.apply_to_state(expr.instr, state)))
         return out
 
     if isinstance(expr, RecursiveRef):
         body = env.get(expr.label)
         out = []
         for term in terms:
-            if term.halted:
-                out.append(term)
-                continue
             if budget <= 0:
                 raise FuelExhausted(
                     f"recursive re-entry of {expr.label!r} with no budget left"
@@ -533,16 +515,17 @@ def _dispatch(
                 raise UndefinedReference(f"no definition for label {expr.label!r}")
             if stats is not None:
                 stats.reentries += 1
-            out.extend(_dispatch(body, [term], env, budget - 1, tol, stats))
+            out.extend(_dispatch(body, [term], env, budget - 1, tol, stats, halted))
         return out
 
     if isinstance(expr, Bra):
-        return [EvalTerm(t.amplitude, t.state, True) for t in terms]
+        halted.extend(terms)
+        return []
 
     if isinstance(expr, Define):
         extended = dict(env)
         extended[expr.label] = expr.body
-        return _dispatch(expr.body, terms, extended, budget, tol, stats)
+        return _dispatch(expr.body, terms, extended, budget, tol, stats, halted)
 
     raise TypeError(f"not an operator expression: {expr!r}")
 
@@ -555,13 +538,19 @@ def apply_with_status(
     *,
     drop_tolerance: float = DROP_TOLERANCE,
     stats: EvalStats | None = None,
-) -> list[EvalTerm]:
-    """Like :func:`apply_expr` but keeps the per-term halted flags."""
+) -> tuple[Superposition, Superposition]:
+    """Like :func:`apply_expr`, but returns the ``(live, halted)`` terms
+    as two superpositions.
+
+    A term that reaches a ``Bra`` leaves the working set at once, so it is
+    inert under every further operator, ``Sum`` included; only an enclosing
+    ``ScalarMul`` still scales it.
+    """
     if fuel_budget < 0:
         raise ValueError(f"fuel budget must be nonnegative, got {fuel_budget}")
-    terms = [EvalTerm(amp, state, False) for amp, state in s.terms]
-    result = _dispatch(expr, terms, env or {}, fuel_budget, drop_tolerance, stats)
-    return _merge_eval_terms(result, drop_tolerance)
+    halted: list[Term] = []
+    live = _dispatch(expr, list(s.terms), env or {}, fuel_budget, drop_tolerance, stats, halted)
+    return merge(live, drop_tolerance), merge(halted, drop_tolerance)
 
 
 def apply_expr(
@@ -579,10 +568,10 @@ def apply_expr(
     enclosing ``Define``. ``fuel_budget`` bounds recursive re-entries; a
     re-entry attempted with no budget raises :class:`FuelExhausted`.
     """
-    terms = apply_with_status(
+    live, halted = apply_with_status(
         expr, s, env, fuel_budget, drop_tolerance=drop_tolerance, stats=stats
     )
-    return merge(((t.amplitude, t.state) for t in terms), drop_tolerance)
+    return merge(live.terms + halted.terms, drop_tolerance)
 
 
 def locations(node: object) -> set[Location]:

@@ -66,7 +66,6 @@ from .operators import (
     Copy,
     Define,
     EvalStats,
-    EvalTerm,
     GuardedPower,
     InstructionOp,
     Mem,
@@ -436,32 +435,17 @@ def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
     )
 
 
-def _classify_unhalted(term: EvalTerm, n_instructions: int) -> Exception:
-    if 1 <= term.state.pc <= n_instructions:
-        return FuelExhausted(
-            f"term stalled at step {term.state.pc} with fuel {term.state.fuel}"
-        )
-    return PcOutOfRange(f"program counter {term.state.pc} outside [1, {n_instructions}]")
-
-
-def _run_terms(program: Program, input_values: list[int], fuel: int, stats: EvalStats) -> list[EvalTerm]:
+def _run_halted(program: Program, input_values: list[int], fuel: int, stats: EvalStats) -> Superposition:
+    """The halted terms of a guarded run; any term left live is an error."""
     expr = compile_guarded(program, fuel)
     start = unit(BasisState(input=tuple(input_values)))
-    terms = apply_with_status(expr, start, fuel_budget=fuel, stats=stats)
-    for term in terms:
-        if not term.halted:
-            raise _classify_unhalted(term, len(program.instructions))
-    return terms
-
-
-def _to_run_result(terms: list[EvalTerm], steps: int) -> RunResult:
-    acc: dict[BasisState, tuple[complex, bool]] = {}
-    for amp, state, halted in terms:
-        prev_amp, prev_halted = acc.get(state, (0j, False))
-        acc[state] = (prev_amp + amp, prev_halted or halted)
-    final = merge(((amp, state) for state, (amp, _) in acc.items()))
-    halted = tuple(acc[state][1] for _, state in final.terms)
-    return RunResult(final, halted, steps)
+    live, halted = apply_with_status(expr, start, fuel_budget=fuel, stats=stats)
+    if live:
+        state, n = live.terms[0][1], len(program.instructions)
+        if 1 <= state.pc <= n:
+            raise FuelExhausted(f"term stalled at step {state.pc} with fuel {state.fuel}")
+        raise PcOutOfRange(f"program counter {state.pc} outside [1, {n}]")
+    return halted
 
 
 def run_algebraic(program: Program, input_values: list[int], fuel: int = DEFAULT_FUEL) -> RunResult:
@@ -472,8 +456,8 @@ def run_algebraic(program: Program, input_values: list[int], fuel: int = DEFAULT
     :class:`FuelExhausted`.
     """
     stats = EvalStats()
-    terms = _run_terms(program, input_values, fuel, stats)
-    return _to_run_result(terms, stats.primitive_ops)
+    final = _run_halted(program, input_values, fuel, stats)
+    return RunResult(final, (True,) * len(final), stats.primitive_ops)
 
 
 def run_superposed(
@@ -491,8 +475,9 @@ def run_superposed(
     if abs(total - 1.0) > NORM_TOLERANCE:
         raise NormViolation(f"squared amplitudes sum to {total!r}, expected 1")
     stats = EvalStats()
-    combined: list[EvalTerm] = []
-    for amp, prog in programs:
-        for term in _run_terms(prog, input_values, fuel, stats):
-            combined.append(EvalTerm(complex(amp) * term.amplitude, term.state, term.halted))
-    return _to_run_result(combined, stats.primitive_ops)
+    final = merge(
+        (complex(amp) * term_amp, state)
+        for amp, prog in programs
+        for term_amp, state in _run_halted(prog, input_values, fuel, stats)
+    )
+    return RunResult(final, (True,) * len(final), stats.primitive_ops)

@@ -20,6 +20,8 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
+from typing import TypeVar
 
 from .errors import EmptyState, InputExhausted, ParseError
 
@@ -31,6 +33,8 @@ DROP_TOLERANCE = 1e-12
 SIGNIFICANT_DIGITS = 12
 
 Amplitude = complex
+
+_S = TypeVar("_S")
 
 
 def _check_counter(name: str, value: object) -> int:
@@ -150,6 +154,22 @@ def unit(state: BasisState) -> Superposition:
     return Superposition(((1.0 + 0j, state),))
 
 
+def combine(terms: Iterable[tuple[complex, _S]], drop_tolerance: float) -> list[tuple[complex, _S]]:
+    """Sum the amplitudes of identical states, drop sums whose modulus falls
+    below ``drop_tolerance``, and sort the survivors by state.
+
+    The one merge kernel behind :func:`merge`, the evaluator's product and
+    sum steps, and the bit-level machine. A tolerance of ``math.ulp(0.0)``
+    drops exact zeros only.
+    """
+    acc: dict[_S, complex] = {}
+    for amp, state in terms:
+        acc[state] = acc.get(state, 0j) + amp
+    kept = [(amp, state) for state, amp in acc.items() if abs(amp) >= drop_tolerance]
+    kept.sort(key=itemgetter(1))
+    return kept
+
+
 def merge(
     terms: Iterable[tuple[complex, BasisState]],
     drop_tolerance: float = DROP_TOLERANCE,
@@ -160,15 +180,30 @@ def merge(
     falls below ``drop_tolerance`` are removed, and the survivors are sorted
     into the canonical order. Idempotent by construction.
     """
-    acc: dict[BasisState, complex] = {}
+    checked = []
     for amp, state in terms:
         amp = complex(amp)
-        if not (cmath.isfinite(amp)):
+        if not cmath.isfinite(amp):
             raise ValueError(f"non-finite amplitude {amp!r}")
-        acc[state] = acc.get(state, 0j) + amp
-    kept = [(amp, state) for state, amp in acc.items() if abs(amp) >= drop_tolerance]
-    kept.sort(key=lambda t: t[1])
-    return Superposition(tuple(kept))
+        checked.append((amp, state))
+    return Superposition(tuple(combine(checked, drop_tolerance)))
+
+
+def parse_amplitude(text: str) -> complex:
+    """Parse a real ``re`` or a complex ``(re,im)`` amplitude.
+
+    Raises ``ValueError`` on malformed or non-finite text.
+    """
+    text = text.strip()
+    pair = text.startswith("(") and text.endswith(")")
+    try:
+        re_part, im_part = text[1:-1].split(",") if pair else (text, "0")
+        amp = complex(float(re_part), float(im_part))
+    except ValueError:
+        raise ValueError(f"bad amplitude {text!r}, expected re or (re,im)") from None
+    if not cmath.isfinite(amp):
+        raise ValueError(f"non-finite amplitude {text!r}")
+    return amp
 
 
 def inner_product(a: Superposition, b: Superposition) -> complex:
@@ -223,6 +258,18 @@ def round_significant(x: float) -> float:
     return float(format(x, f".{SIGNIFICANT_DIGITS}g"))
 
 
+def state_record(state: BasisState) -> dict:
+    """JSON record of a basis state's fields; memory as an address:value object."""
+    return {
+        "register": state.register,
+        "pc": state.pc,
+        "fuel": state.fuel,
+        "mem": {str(addr): value for addr, value in state.mem},
+        "input": list(state.input),
+        "output": list(state.output),
+    }
+
+
 def serialize(s: Superposition) -> str:
     """Canonical text form: a JSON list of term records.
 
@@ -231,19 +278,13 @@ def serialize(s: Superposition) -> str:
     object. Term order and memory key order are canonical, so identical
     superpositions always serialize to identical text.
     """
-    records = []
-    for amp, state in s.terms:
-        records.append(
-            {
-                "amplitude": [round_significant(amp.real), round_significant(amp.imag)],
-                "register": state.register,
-                "pc": state.pc,
-                "fuel": state.fuel,
-                "mem": {str(addr): value for addr, value in state.mem},
-                "input": list(state.input),
-                "output": list(state.output),
-            }
-        )
+    records = [
+        {
+            "amplitude": [round_significant(amp.real), round_significant(amp.imag)],
+            **state_record(state),
+        }
+        for amp, state in s.terms
+    ]
     return json.dumps(records, indent=1)
 
 

@@ -9,6 +9,8 @@ from fockvm.bitlevel import (
     BRaise,
     BitBasisState,
     FProduct,
+    FScalarMul,
+    ONE,
     SIMPLIFIED_KINDS,
     all_states,
     anticommutator_is_delta,
@@ -60,6 +62,14 @@ class TestApplyFermi:
         s = BitBasisState(0, (1, 1))
         [(amp, out)] = apply_fermi(BRaise(BIT_REGISTER), s)
         assert amp == 1.0 and out.register == 1
+
+    def test_tiny_amplitudes_are_kept(self):
+        s = BitBasisState(0, (1, 0))
+        assert apply_fermi(FScalarMul(1e-13, ONE), s) == [(1e-13 + 0j, s)]
+
+    def test_difference_of_equal_operators_annihilates(self):
+        op = BRaise(0) - BRaise(0)
+        assert all(apply_fermi(op, s) == [] for s in all_states(3))
 
 
 class TestRelations:

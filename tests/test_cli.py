@@ -83,6 +83,34 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "run", str(prog))
         assert code == 3 and "DivideByZero" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "data/one_quantum.state", "--count", "-1"),
+            ("run", "data/add.qasm", "--step-limit", "0"),
+            ("run", "data/add.qasm", "--fuel", "-1"),
+            ("compile", "data/add.qasm", "--fuel", "-1"),
+            ("superpose", "data/add.qasm@1", "--fuel", "-1"),
+            ("qc", "run", "data/add.qc", "--fuel", "-1"),
+            ("qc", "compile", "data/add.qc", "--fuel", "-1"),
+            ("grammar", "prob", "data/xy.g", "--to", "xy", "--max-steps", "-1"),
+            ("grammar", "derive", "data/xy.g", "--steps", "-1"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "4", "--state", "data/one_quantum.state", "--order", "-1"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "1", "--state", "data/one_quantum.state"),
+            ("evolve", "--hamiltonian", "adder", "--modes", "2", "--state", "data/one_quantum.state"),
+            ("bit", "verify", "--modes", "1"),
+            ("superpose", "data/add.qasm@nan", "--input", "2,3"),
+            ("superpose", "data/add.qasm@(1,inf)", "--input", "2,3"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_values_are_usage_errors(self, capsys, monkeypatch, data_dir, argv):
+        monkeypatch.chdir(data_dir.parent)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestAssembleCompile:
     def test_assemble_listing(self, capsys, data_dir):

@@ -117,6 +117,12 @@ class TestParse:
             parse_grammar("start: a\nrule: a -> b @ zap\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "(0,-inf)"])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ParseError) as err:
+            parse_grammar(f"start: a\nrule: a -> b @ {weight}\n")
+        assert err.value.line == 2
+
     def test_complex_weights_require_quantum(self):
         with pytest.raises(ParseError):
             parse_grammar("start: a\nrule: a -> b @ (0,1)\n")

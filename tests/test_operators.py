@@ -46,6 +46,12 @@ from fockvm.operators import (
 from fockvm.state import BasisState, merge, unit
 
 
+def split_status(expr, s, **kwargs):
+    """(live, halted) terms of an evaluation, each as (amplitude, state) pairs."""
+    live, halted = apply_with_status(expr, s, **kwargs)
+    return list(live), list(halted)
+
+
 class TestPrimitives:
     def test_lower_amplitude_is_sqrt(self):
         [(amp, out)] = apply_primitive(Lower(Mem(3)), BasisState(mem={3: 4}))
@@ -162,11 +168,36 @@ class TestApplyExpr:
             apply_expr(SetValue(Mem(0), Num(Mem(0)) - 1), unit(BasisState()))
 
     def test_halted_terms_are_inert(self):
-        terms = apply_with_status(
+        live, halted = apply_with_status(
             product(Raise(Mem(0)), Bra()), unit(BasisState(mem={0: 1}))
         )
-        assert len(terms) == 1
-        assert terms[0].halted and terms[0].state.mem_value(0) == 1
+        assert not live and len(halted) == 1
+        assert halted.terms[0][1].mem_value(0) == 1
+
+    def test_scaled_bra_halts_the_scaled_term(self):
+        live, halted = split_status(scaled(0.5, Bra()), unit(BasisState()))
+        assert live == [] and halted == [(0.5, BasisState())]
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            GuardedPower(Raise(Mem(0)), Const(2)),
+            InstructionOp(Instruction(Opcode.ADD, address(0))),
+            RecursiveRef("step"),
+        ],
+        ids=["guarded-power", "instruction", "recursive-ref"],
+    )
+    def test_halted_term_passes_through_unchanged(self, op):
+        start = BasisState(register=3, mem={0: 1})
+        live, halted = split_status(
+            product(op, Bra()), unit(start), env={"step": Raise(Mem(0))}, fuel_budget=0
+        )
+        assert live == [] and halted == [(1, start)]
+
+    def test_sum_after_bra_does_not_duplicate_halted_terms(self):
+        expr = product(summation(Raise(Mem(0)), Lower(Mem(0))), Bra())
+        live, halted = split_status(expr, unit(BasisState(mem={0: 1})))
+        assert live == [] and halted == [(1, BasisState(mem={0: 1}))]
 
     def test_instruction_action(self):
         expr = InstructionOp(Instruction(Opcode.MULTIPLY, address(0)))

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from fockvm.errors import EmptyState, ParseError
 from fockvm.state import (
     BasisState,
+    combine,
     deserialize,
     inner_product,
     merge,
+    parse_amplitude,
     probabilities,
     round_significant,
     sample,
@@ -102,6 +104,24 @@ class TestMerge:
     def test_idempotent(self, terms):
         once = merge(terms)
         assert merge(once.terms) == once
+
+    def test_combine_sorts_and_drops_exact_zeros_only(self):
+        tiny = math.ulp(0.0)
+        out = combine([(1e-300, S2), (1, S1), (-1, S1), (0.5, S)], tiny)
+        assert out == [(0.5, S), (1e-300, S2)]
+
+
+class TestParseAmplitude:
+    @pytest.mark.parametrize(
+        "text, amp", [("0.5", 0.5), (" -2 ", -2), ("(0,1)", 1j), ("(0.6, -0.8)", 0.6 - 0.8j)]
+    )
+    def test_accepts_real_and_pairs(self, text, amp):
+        assert parse_amplitude(text) == amp
+
+    @pytest.mark.parametrize("text", ["", "zap", "(1)", "(1,2,3)", "nan", "inf", "(0,-inf)"])
+    def test_rejects_malformed_and_non_finite(self, text):
+        with pytest.raises(ValueError):
+            parse_amplitude(text)
 
 
 class TestInnerProduct:
