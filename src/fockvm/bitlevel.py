@@ -24,6 +24,10 @@ from .state import combine
 #: Mode index of the one-bit register in the canonical ordering.
 BIT_REGISTER = -1
 
+#: Largest mode count the exhaustive checks accept: they enumerate all
+#: 2^(modes+1) basis states, so each further mode doubles their cost.
+MAX_VERIFY_MODES = 8
+
 #: Merge tolerance that drops exactly cancelled terms and nothing else:
 #: bit-level amplitudes are exact, so any nonzero sum is kept.
 _EXACT_ZEROS_ONLY = math.ulp(0.0)
@@ -306,8 +310,8 @@ def verify_bit_semantics(kind: str, mode_count: int = 2, m: int = 0, n: int | No
     with amplitude modulus one (sign free), or annihilation where the
     semantics demand it. Amplitudes are recorded so signs can be reported.
     """
-    if mode_count > 8:
-        raise ValueError("exhaustive verification is limited to 8 modes")
+    if mode_count > MAX_VERIFY_MODES:
+        raise ValueError(f"exhaustive verification is limited to {MAX_VERIFY_MODES} modes")
     if kind == "copy" and n is None:
         n = 1
     op = simplified_form(kind, m, n)

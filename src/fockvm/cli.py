@@ -64,13 +64,16 @@ def _parse_input_list(text: str | None) -> list[int]:
         raise UsageError(f"bad input list {text!r}, expected comma-separated integers") from None
 
 
-def _int_at_least(low: int):
-    """argparse ``type=`` for an integer flag with a lower bound."""
+def _int_at_least(low: int, at_most: int | None = None):
+    """argparse ``type=`` for an integer flag with a lower and an optional
+    upper bound."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse reports malformed text as "invalid int value"
@@ -494,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bit", help="bit-level relation suites")
     bsub = p.add_subparsers(dest="bit_command", required=True)
     b = bsub.add_parser("verify", help="anticommutation and semantics checks")
-    b.add_argument("--modes", type=_int_at_least(2), default=6)
+    b.add_argument("--modes", type=_int_at_least(2, at_most=bitlevel.MAX_VERIFY_MODES), default=6)
     _add_common(b)
     b.set_defaults(func=_cmd_bit_verify)
 

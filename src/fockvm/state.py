@@ -6,6 +6,11 @@ two I/O streams. All stored values are exact nonnegative Python integers of
 arbitrary size; amplitudes are double-precision complex numbers. Basis
 vectors are unit norm by construction.
 
+A basis state is validated once, when it is constructed. An update
+(``with_register``, ``with_mem``, ``pop_input`` and the rest) derives a new
+state from a valid one and checks only the value it writes; the fields it
+copies were checked when their source state was built.
+
 Superpositions are finite lists of (amplitude, basis state) terms kept in a
 canonical form: identical states merged, near-zero amplitudes dropped, terms
 sorted lexicographically on (register, pc, fuel, mem, input, output).
@@ -18,7 +23,7 @@ import json
 import math
 import random
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import TypeVar
@@ -37,12 +42,17 @@ Amplitude = complex
 _S = TypeVar("_S")
 
 
-def _check_counter(name: str, value: object) -> int:
+def _check_counter(name: str, value: object, addr: int | None = None) -> int:
+    """Reject a value that is not a nonnegative integer. ``addr`` names the
+    memory cell a value is stored at; the message is built only on failure."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return value
+        error, problem = TypeError, f"must be an integer, got {value!r}"
+    elif value < 0:
+        error, problem = ValueError, f"must be nonnegative, got {value}"
+    else:
+        return value
+    where = name if addr is None else f"{name} at {addr}"
+    raise error(f"{where} {problem}")
 
 
 @dataclass(frozen=True, order=True)
@@ -53,6 +63,11 @@ class BasisState:
     normalized to a sorted tuple with all zero entries removed, so two states
     with the same contents always compare and hash equal. ``input`` holds
     the not-yet-consumed input values, ``output`` the values emitted so far.
+
+    The constructor validates every field and is the one entry for outside
+    input. The ``with_*`` updates, ``pop_input`` and ``append_output`` derive
+    their result from this already valid state and check only the value they
+    write, so the invariant holds for every state by induction.
     """
 
     register: int = 0
@@ -70,7 +85,7 @@ class BasisState:
         cleaned: dict[int, int] = {}
         for addr, value in items:
             _check_counter("memory address", addr)
-            _check_counter(f"memory value at {addr}", value)
+            _check_counter("memory value", value, addr)
             if addr in cleaned:
                 raise ValueError(f"duplicate memory address {addr}")
             if value > 0:
@@ -86,35 +101,45 @@ class BasisState:
     def _mem_map(self) -> dict[int, int]:
         return dict(self.mem)
 
+    def _derive(self, **changes) -> "BasisState":
+        """A copy of this state with ``changes`` written over its fields,
+        built without re-validation. The parent's cached memory map is
+        shared unless ``changes`` replaces it; no map is ever mutated."""
+        new = object.__new__(BasisState)
+        vars(new).update(vars(self), **changes)
+        return new
+
     def mem_value(self, addr: int) -> int:
         """Value stored at ``addr``; absent addresses read as zero."""
         return self._mem_map.get(addr, 0)
 
     def with_register(self, value: int) -> "BasisState":
-        return replace(self, register=value)
+        return self._derive(register=_check_counter("register", value))
 
     def with_pc(self, value: int) -> "BasisState":
-        return replace(self, pc=value)
+        return self._derive(pc=_check_counter("pc", value))
 
     def with_fuel(self, value: int) -> "BasisState":
-        return replace(self, fuel=value)
+        return self._derive(fuel=_check_counter("fuel", value))
 
     def with_mem(self, addr: int, value: int) -> "BasisState":
+        _check_counter("memory address", addr)
+        _check_counter("memory value", value, addr)
         items = dict(self._mem_map)
         if value > 0:
             items[addr] = value
         else:
             items.pop(addr, None)
-        return replace(self, mem=tuple(sorted(items.items())))
+        return self._derive(mem=tuple(sorted(items.items())), _mem_map=items)
 
     def pop_input(self) -> tuple[int, "BasisState"]:
         """Consume the head of the input stream."""
         if not self.input:
             raise InputExhausted("input stream is empty")
-        return self.input[0], replace(self, input=self.input[1:])
+        return self.input[0], self._derive(input=self.input[1:])
 
     def append_output(self, value: int) -> "BasisState":
-        return replace(self, output=self.output + (value,))
+        return self._derive(output=self.output + (_check_counter("output value", value),))
 
 
 @dataclass(frozen=True)

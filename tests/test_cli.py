@@ -99,6 +99,7 @@ class TestExitCodes:
             ("evolve", "--hamiltonian", "hop", "--modes", "1", "--state", "data/one_quantum.state"),
             ("evolve", "--hamiltonian", "adder", "--modes", "2", "--state", "data/one_quantum.state"),
             ("bit", "verify", "--modes", "1"),
+            ("bit", "verify", "--modes", "9"),
             ("superpose", "data/add.qasm@nan", "--input", "2,3"),
             ("superpose", "data/add.qasm@(1,inf)", "--input", "2,3"),
         ],

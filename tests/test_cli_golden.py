@@ -1,9 +1,11 @@
-"""Golden CLI outputs: stdout and exit code must stay byte-identical.
+"""Golden CLI and demo-script outputs: stdout and exit code must stay
+byte-identical.
 
-Each case runs ``fockvm`` in-process from the repository root and compares
-the exit code and stdout with ``tests/golden/<name>.txt``, whose first line
-is ``exit: <code>`` and whose remainder is the exact stdout. To re-record
-after an intended output change, run from the repository root::
+Each CLI case runs ``fockvm`` in-process from the repository root; each demo
+script in ``scripts/`` runs as a subprocess with ``src`` on its path. Both
+compare the exit code and stdout with ``tests/golden/<name>.txt``, whose
+first line is ``exit: <code>`` and whose remainder is the exact stdout. To
+re-record after an intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +70,10 @@ CASES = {
     "sample-json": ("sample", "data/one_quantum.state", "--count", "100", "--seed", "3", "--json"),
 }
 
+SCRIPTS = {
+    f"script-{path.stem}": path for path in sorted((ROOT / "scripts").glob("*.py"))
+}
+
 
 def invoke(argv: tuple[str, ...]) -> str:
     """Run the CLI from the repository root; return the golden-file text."""
@@ -80,16 +88,34 @@ def invoke(argv: tuple[str, ...]) -> str:
     return f"exit: {code}\n{out.getvalue()}"
 
 
+def run_script(path: Path) -> str:
+    """Run a demo script from the repository root; return the golden-file text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, timeout=60
+    )
+    return f"exit: {done.returncode}\n{done.stdout.decode('utf-8')}"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert invoke(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_golden_script_output(name):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_script(SCRIPTS[name]) == expected
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         (GOLDEN / f"{name}.txt").write_text(invoke(argv), encoding="utf-8")
+    for name, path in sorted(SCRIPTS.items()):
+        (GOLDEN / f"{name}.txt").write_text(run_script(path), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -414,6 +414,42 @@ class TestOracleEquivalence:
             sys.setrecursionlimit(old_limit)
 
 
+COUNTING_LOOP = """
+; acc = n + (n-1) + ... + 1; inputs: n, loop-top index, exit index
+INPUT n
+INPUT top
+INPUT done
+LOAD n
+TZR done
+LOAD acc
+ADD n
+STORE acc
+LOAD n
+SUBTRACT #1
+STORE n
+TRA top
+OUTPUT acc
+HALT
+"""
+
+
+class TestRecursionCeiling:
+    def test_counting_loop_runs_150_iterations_at_the_default_limit(self):
+        # Re-entry still recurses in Python; the loop must stay well inside
+        # the default recursion limit, so state updates may add no frames
+        # at the deepest point of a re-entry chain.
+        program = parse_program(COUNTING_LOOP)
+        assert len(program.instructions) == 14
+        inputs = [150, 4, 13]
+        amp, got = run_algebraic(program, inputs, fuel=151).sole()
+        want = interpret(program, inputs).sole()[1]
+        assert got.register == want.register
+        assert got.mem == want.mem
+        assert got.input == want.input
+        assert got.output == want.output == (150 * 151 // 2,)
+        assert abs(abs(amp) - 1) <= 1e-12
+
+
 class TestRunSuperposed:
     def setup_method(self):
         self.writers = [

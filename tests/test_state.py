@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockvm.errors import EmptyState, ParseError
+from fockvm.errors import EmptyState, InputExhausted, ParseError
 from fockvm.state import (
     BasisState,
     combine,
@@ -75,6 +75,85 @@ class TestBasisState:
         s = BasisState(input=(4, 5))
         value, rest = s.pop_input()
         assert value == 4 and rest.input == (5,)
+
+    @pytest.mark.parametrize(
+        "update, error",
+        [
+            (lambda s: s.with_register(-1), ValueError),
+            (lambda s: s.with_pc(-1), ValueError),
+            (lambda s: s.with_fuel(-1), ValueError),
+            (lambda s: s.with_mem(-1, 1), ValueError),
+            (lambda s: s.with_mem(0, -1), ValueError),
+            (lambda s: s.append_output(-1), ValueError),
+            (lambda s: s.with_register(True), TypeError),
+            (lambda s: s.with_register(1.0), TypeError),
+            (lambda s: BasisState().pop_input(), InputExhausted),
+        ],
+        ids=[
+            "register-negative",
+            "pc-negative",
+            "fuel-negative",
+            "mem-address-negative",
+            "mem-value-negative",
+            "output-negative",
+            "register-bool",
+            "register-float",
+            "pop-empty-input",
+        ],
+    )
+    def test_updates_reject_what_the_constructor_rejects(self, update, error):
+        with pytest.raises(error):
+            update(S)
+
+
+def fields_of(state: BasisState) -> dict:
+    return {
+        "register": state.register,
+        "pc": state.pc,
+        "fuel": state.fuel,
+        "mem": dict(state.mem),
+        "input": state.input,
+        "output": state.output,
+    }
+
+
+values = st.integers(0, 9)
+updates = st.one_of(
+    st.tuples(st.just("with_register"), values),
+    st.tuples(st.just("with_pc"), values),
+    st.tuples(st.just("with_fuel"), values),
+    st.tuples(st.just("with_mem"), st.integers(0, 6), st.integers(0, 3)),
+    st.tuples(st.just("pop_input")),
+    st.tuples(st.just("append_output"), values),
+)
+
+
+class TestUpdatesMatchConstructor:
+    """Updates skip re-validating untouched fields; the validating
+    constructor is the reference they must agree with."""
+
+    @given(states, st.lists(updates, max_size=12), states)
+    @settings(max_examples=200)
+    def test_updates_agree_with_rebuilt_states(self, state, steps, other):
+        touched = {addr for addr, _ in state.mem}
+        other = BasisState(**fields_of(other))
+        for name, *args in steps:
+            if name == "pop_input":
+                if not state.input:
+                    continue
+                _, state = state.pop_input()
+            else:
+                state = getattr(state, name)(*args)
+            if name == "with_mem":
+                touched.add(args[0])
+            rebuilt = BasisState(**fields_of(state))
+            assert state == rebuilt and hash(state) == hash(rebuilt)
+            assert (state < other) == (rebuilt < other)
+            assert (state > other) == (rebuilt > other)
+            assert list(state.mem) == sorted(state.mem)
+            assert all(value > 0 for _, value in state.mem)
+            for addr in touched:
+                assert state.mem_value(addr) == rebuilt.mem_value(addr)
 
 
 class TestMerge:
