@@ -76,6 +76,7 @@ from .grammar import (
     derivation_paths,
     parse_grammar,
     pass_distribution,
+    pass_outcomes,
     step_successors,
     transition_probability,
 )

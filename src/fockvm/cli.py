@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bitlevel, evolution, grammar, qasm, qcc
@@ -80,22 +81,35 @@ def _int_at_least(low: int, at_most: int | None = None):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse ``type=`` for a float flag that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse reports malformed text as "invalid float value"
+
+
 def _state_label(state: BasisState) -> str:
     mem = ",".join(f"{a}:{v}" for a, v in state.mem)
     out = ",".join(str(v) for v in state.output)
     return f"reg={state.register} pc={state.pc} fuel={state.fuel} mem={{{mem}}} out=[{out}]"
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+def _emit(args, result) -> None:
+    """Write ``result`` to ``--output`` or stdout, ending in a newline.
+    Text is written as it is, a ``--json`` payload as indented JSON with
+    sorted keys."""
+    text = result if isinstance(result, str) else json.dumps(result, indent=1, sort_keys=True)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +119,7 @@ def _json_dumps(payload) -> str:
 def _cmd_assemble(args) -> int:
     program = qasm.parse_program(_read(args.file))
     if args.json:
-        payload = {
+        _emit(args, {
             "instructions": [
                 {
                     "index": i,
@@ -116,8 +130,7 @@ def _cmd_assemble(args) -> int:
             ],
             "symbols": program.symbols,
             "pool": {str(a): v for a, v in sorted(program.pool.items())},
-        }
-        _emit(args, _json_dumps(payload))
+        })
     else:
         _emit(args, qasm.disassemble(program))
     return EXIT_OK
@@ -154,21 +167,19 @@ def _render_run_result(result: qasm.RunResult) -> str:
     return "\n".join(lines)
 
 
-def _execute(program: qasm.Program, args) -> qasm.RunResult:
+def _run(program: qasm.Program, args) -> int:
+    """Run ``program`` on the back end ``--mode`` names and emit the result."""
     values = _parse_input_list(args.input)
     if args.mode == "interp":
-        return qasm.interpret(program, values, step_limit=args.step_limit)
-    return qasm.run_algebraic(program, values, fuel=args.fuel)
+        result = qasm.interpret(program, values, step_limit=args.step_limit)
+    else:
+        result = qasm.run_algebraic(program, values, fuel=args.fuel)
+    _emit(args, _run_result_payload(result) if args.json else _render_run_result(result))
+    return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    program = qasm.parse_program(_read(args.file))
-    result = _execute(program, args)
-    if args.json:
-        _emit(args, _json_dumps(_run_result_payload(result)))
-    else:
-        _emit(args, _render_run_result(result))
-    return EXIT_OK
+    return _run(qasm.parse_program(_read(args.file)), args)
 
 
 def _cmd_compile(args) -> int:
@@ -177,10 +188,7 @@ def _cmd_compile(args) -> int:
         expr = qasm.compile_sequential(program)
     else:
         expr = qasm.compile_guarded(program, fuel=args.fuel)
-    if args.json:
-        _emit(args, _json_dumps({"form": args.form, "expression": sexpr(expr)}))
-    else:
-        _emit(args, sexpr(expr))
+    _emit(args, {"form": args.form, "expression": sexpr(expr)} if args.json else sexpr(expr))
     return EXIT_OK
 
 
@@ -188,26 +196,19 @@ def _cmd_grammar_derive(args) -> int:
     g = grammar.parse_grammar(_read(args.file))
     source = args.source if args.source is not None else g.start
     if args.mode == "pass":
-        outcomes = {source: 1.0}
-        for _ in range(args.steps):
-            nxt: dict[str, float] = {}
-            for s, p in outcomes.items():
-                for t, q in grammar.pass_distribution(g, s).items():
-                    nxt[t] = nxt.get(t, 0.0) + p * q
-            outcomes = nxt
+        outcomes = grammar.pass_outcomes(g, source, args.steps)
     else:
         outcomes = grammar.outcome_distribution(g, source, args.steps, position=args.position)
     rows = sorted(outcomes.items())
     if args.json:
-        payload = {
+        _emit(args, {
             "from": source,
             "mode": args.mode,
             "steps": args.steps,
             "outcomes": [
                 {"string": s, "probability": round_significant(p)} for s, p in rows
             ],
-        }
-        _emit(args, _json_dumps(payload))
+        })
     else:
         _emit(args, "\n".join(f"{s} {_fmt(p)}" for s, p in rows))
     return EXIT_OK
@@ -217,20 +218,14 @@ def _cmd_grammar_prob(args) -> int:
     g = grammar.parse_grammar(_read(args.file))
     source = args.source if args.source is not None else g.start
     if args.mode == "pass":
-        outcomes = grammar.pass_distribution(g, source)
-        probability = outcomes.get(args.target, 0.0)
+        probability = grammar.pass_distribution(g, source).get(args.target, 0.0)
         if args.json:
-            _emit(
-                args,
-                _json_dumps(
-                    {
-                        "from": source,
-                        "to": args.target,
-                        "mode": "pass",
-                        "probability": round_significant(probability),
-                    }
-                ),
-            )
+            _emit(args, {
+                "from": source,
+                "to": args.target,
+                "mode": "pass",
+                "probability": round_significant(probability),
+            })
         else:
             _emit(args, _fmt(probability))
         return EXIT_OK
@@ -238,15 +233,14 @@ def _cmd_grammar_prob(args) -> int:
         g, source, args.target, args.max_steps, position=args.position
     )
     if args.json:
-        payload = {
+        _emit(args, {
             "from": source,
             "to": args.target,
             "mode": "step",
             "max_steps": args.max_steps,
             "relative": round_significant(relative),
             "absolute": round_significant(absolute),
-        }
-        _emit(args, _json_dumps(payload))
+        })
     else:
         _emit(args, f"relative: {_fmt(relative)}\nabsolute: {_fmt(absolute)}")
     return EXIT_OK
@@ -272,12 +266,11 @@ def _cmd_evolve(args) -> int:
             }
         )
     if args.json:
-        _emit(args, _json_dumps({"state": json.loads(serialize(evolved)), "table": table}))
+        _emit(args, {"state": json.loads(serialize(evolved)), "table": table})
     else:
         lines = [serialize(evolved), ""]
-        for row in table:
-            state = row["state"]
-            mem = ",".join(f"{a}:{v}" for a, v in sorted((int(a), v) for a, v in state["mem"].items()))
+        for (_, state), row in zip(evolved.terms, table):
+            mem = ",".join(f"{a}:{v}" for a, v in state.mem)
             lines.append(
                 f"mem={{{mem}}} amplitude=[{_fmt(row['amplitude'][0])}, {_fmt(row['amplitude'][1])}]"
                 f" raw={_fmt(row['raw'])} normalized={_fmt(row['normalized'])}"
@@ -299,7 +292,7 @@ def _cmd_superpose(args) -> int:
         programs.append((amp, qasm.parse_program(_read(path))))
     result = qasm.run_superposed(programs, _parse_input_list(args.input), fuel=args.fuel)
     if args.json:
-        _emit(args, _json_dumps(_run_result_payload(result)))
+        _emit(args, _run_result_payload(result))
     else:
         probs = probabilities(result.final)
         lines = []
@@ -311,12 +304,10 @@ def _cmd_superpose(args) -> int:
 
 def _cmd_bit_verify(args) -> int:
     relations = []
-    ok_all = True
     modes = args.modes
     for i in range(modes):
         for j in range(modes):
             ok = bitlevel.anticommutator_is_delta(i, j, modes)
-            ok_all &= ok
             relations.append((f"{{b_{i}, b_{j}+}} = delta", ok))
     mixed_ok = all(
         bitlevel.anticommutator_vanishes(i, j, modes, daggered)
@@ -324,22 +315,19 @@ def _cmd_bit_verify(args) -> int:
         for j in range(modes)
         for daggered in (False, True)
     )
-    ok_all &= mixed_ok
     relations.append(("{b_i, b_j} = 0 and {b_i+, b_j+} = 0", mixed_ok))
     idem_ok = all(bitlevel.number_is_idempotent(m, modes) for m in range(modes))
-    ok_all &= idem_ok
     relations.append(("number operators idempotent", idem_ok))
     for kind in bitlevel.SIMPLIFIED_KINDS:
         report = bitlevel.verify_bit_semantics(kind, mode_count=min(modes, 3))
-        ok_all &= report.passed
         relations.append((f"{kind} closed form value semantics", report.passed))
+    ok_all = all(ok for _, ok in relations)
     if args.json:
-        payload = {
+        _emit(args, {
             "modes": modes,
             "relations": [{"relation": name, "passed": ok} for name, ok in relations],
             "passed": ok_all,
-        }
-        _emit(args, _json_dumps(payload))
+        })
     else:
         lines = [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in relations]
         lines.append(f"{'PASS' if ok_all else 'FAIL'} overall")
@@ -351,53 +339,19 @@ def _cmd_qc_compile(args) -> int:
     ast = qcc.parse_c(_read(args.file))
     program = qcc.lower_to_qasm(ast, window=args.window)
     if args.emit == "qasm":
-        has_pointers = _uses_pointers(ast)
-        listing = qasm.disassemble(program, raw_addresses=has_pointers)
-        if args.json:
-            payload = {"listing": listing, "symbols": program.symbols}
-            _emit(args, _json_dumps(payload))
-        else:
-            _emit(args, listing)
-    else:
-        try:
-            expr = qasm.compile_sequential(program)
-        except JumpsNotSupported:
-            expr = qasm.compile_guarded(program, fuel=args.fuel)
-        if args.json:
-            _emit(args, _json_dumps({"expression": sexpr(expr)}))
-        else:
-            _emit(args, sexpr(expr))
+        listing = qasm.disassemble(program, raw_addresses=qcc.uses_pointers(ast))
+        _emit(args, {"listing": listing, "symbols": program.symbols} if args.json else listing)
+        return EXIT_OK
+    try:
+        expr = qasm.compile_sequential(program)
+    except JumpsNotSupported:
+        expr = qasm.compile_guarded(program, fuel=args.fuel)
+    _emit(args, {"expression": sexpr(expr)} if args.json else sexpr(expr))
     return EXIT_OK
-
-
-def _uses_pointers(ast: qcc.CAst) -> bool:
-    def expr_uses(expr) -> bool:
-        if isinstance(expr, (qcc.AddressOf, qcc.Deref)):
-            return True
-        if isinstance(expr, qcc.Binary):
-            return expr_uses(expr.left) or expr_uses(expr.right)
-        if isinstance(expr, (qcc.BitNot, qcc.Shift)):
-            return expr_uses(expr.expr)
-        return False
-
-    for stmt in ast.statements:
-        if isinstance(stmt, qcc.DerefAssign):
-            return True
-        if isinstance(stmt, qcc.Assign) and expr_uses(stmt.expr):
-            return True
-        if isinstance(stmt, (qcc.OutputStmt, qcc.IfZeroGoto)) and expr_uses(stmt.expr):
-            return True
-    return False
 
 
 def _cmd_qc_run(args) -> int:
-    program = qcc.compile_c(_read(args.file), window=args.window)
-    result = _execute(program, args)
-    if args.json:
-        _emit(args, _json_dumps(_run_result_payload(result)))
-    else:
-        _emit(args, _render_run_result(result))
-    return EXIT_OK
+    return _run(qcc.compile_c(_read(args.file), window=args.window), args)
 
 
 def _cmd_sample(args) -> int:
@@ -405,14 +359,11 @@ def _cmd_sample(args) -> int:
     counts = sample(state, args.count, args.seed)
     rows = sorted(counts.items(), key=lambda item: item[0])
     if args.json:
-        payload = {
+        _emit(args, {
             "count": args.count,
             "seed": args.seed,
-            "counts": [
-                {"state": state_record(state), "count": n} for state, n in rows
-            ],
-        }
-        _emit(args, _json_dumps(payload))
+            "counts": [{"state": state_record(state), "count": n} for state, n in rows],
+        })
     else:
         _emit(args, "\n".join(f"{_state_label(state)} count={n}" for state, n in rows))
     return EXIT_OK
@@ -464,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--from", dest="source", default=None)
     g.add_argument("--steps", type=_int_at_least(0), default=1)
     g.add_argument("--mode", choices=["step", "pass"], default="step")
-    g.add_argument("--position", type=int, default=None)
+    g.add_argument("--position", type=_int_at_least(0), default=None)
     _add_common(g)
     g.set_defaults(func=_cmd_grammar_derive)
 
@@ -474,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--to", dest="target", required=True)
     g.add_argument("--max-steps", type=_int_at_least(0), default=1)
     g.add_argument("--mode", choices=["step", "pass"], default="step")
-    g.add_argument("--position", type=int, default=None)
+    g.add_argument("--position", type=_int_at_least(0), default=None)
     _add_common(g)
     g.set_defaults(func=_cmd_grammar_prob)
 
@@ -482,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hamiltonian", choices=["hop", "adder"], required=True)
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--state", required=True, help="state file in the canonical text format")
-    p.add_argument("-t", "--time", type=float, default=0.1)
+    p.add_argument("-t", "--time", type=_finite_float, default=0.1)
     p.add_argument("--order", type=_int_at_least(0), default=8)
     _add_common(p)
     p.set_defaults(func=_cmd_evolve)
@@ -506,13 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = qsub.add_parser("compile", help="lower a source file")
     q.add_argument("file")
     q.add_argument("--emit", choices=["qasm", "opexpr"], default="qasm")
-    q.add_argument("--window", type=int, default=qcc.DEFAULT_WINDOW)
+    q.add_argument("--window", type=_int_at_least(1), default=qcc.DEFAULT_WINDOW)
     q.add_argument("--fuel", type=_int_at_least(0), default=qasm.DEFAULT_FUEL)
     _add_common(q)
     q.set_defaults(func=_cmd_qc_compile)
     q = qsub.add_parser("run", help="compile and run a source file")
     q.add_argument("file")
-    q.add_argument("--window", type=int, default=qcc.DEFAULT_WINDOW)
+    q.add_argument("--window", type=_int_at_least(1), default=qcc.DEFAULT_WINDOW)
     _add_run_flags(q)
     _add_common(q)
     q.set_defaults(func=_cmd_qc_run)

@@ -32,6 +32,11 @@ class MachineError(Exception):
     """Base class for runtime failures of the machine model."""
 
 
+class NonFiniteAmplitude(MachineError, ValueError):
+    """An amplitude or probability is not a finite float, because it was
+    given as one or because arithmetic on it overflowed."""
+
+
 class EmptyState(MachineError):
     """An operation that needs at least one term got an empty superposition."""
 

@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import StateSpaceTooLarge, TruncationOverflow
+from .errors import NonFiniteAmplitude, StateSpaceTooLarge, TruncationOverflow
 from .isa import Instruction, Opcode, address, immediate
 from .operators import (
     REGISTER,
@@ -150,7 +150,10 @@ def evolve(h: Hamiltonian, s0: Superposition, t: float, order: int) -> Superposi
     for q in range(1, order + 1):
         _check_boundary(h, current)
         current = apply_expr(h.expr, current)
-        coeff = (-1j * t) ** q / factorial(q)
+        try:
+            coeff = (-1j * t) ** q / factorial(q)
+        except OverflowError:
+            raise NonFiniteAmplitude(f"series coefficient of order {q} overflows at t={t!r}") from None
         terms.extend((coeff * amp, state) for amp, state in current.terms)
     return merge(terms)
 

@@ -73,9 +73,12 @@ class Grammar:
 
 
 class Successor(NamedTuple):
+    """One rewrite: the result, where it happened, the rule's index in
+    ``grammar.rules`` and the rule's normalized weight."""
+
     string: str
     position: int
-    rule: Rule
+    index: int
     weight: complex
 
 
@@ -170,7 +173,7 @@ def step_successors(grammar: Grammar, s: str, position: int | None = None) -> li
         while pos != -1:
             if position is None or pos == position:
                 result = s[:pos] + rule.rhs + s[pos + span :]
-                out.append(((pos, idx), Successor(result, pos, rule, weights[idx])))
+                out.append(((pos, idx), Successor(result, pos, idx, weights[idx])))
             pos = s.find(rule.lhs, pos + 1)
     out.sort(key=lambda item: item[0])
     return [succ for _, succ in out]
@@ -207,6 +210,19 @@ def pass_distribution(grammar: Grammar, s: str) -> dict[str, float]:
     return outcomes
 
 
+def pass_outcomes(grammar: Grammar, source: str, passes: int) -> dict[str, float]:
+    """Outcome probabilities after ``passes`` successive parallel passes
+    from ``source``; identical outcome strings aggregate."""
+    outcomes = {source: 1.0}
+    for _ in range(passes):
+        nxt: dict[str, float] = {}
+        for s, p in outcomes.items():
+            for t, q in pass_distribution(grammar, s).items():
+                nxt[t] = nxt.get(t, 0.0) + p * q
+        outcomes = nxt
+    return outcomes
+
+
 def derivation_paths(
     grammar: Grammar,
     source: str,
@@ -219,29 +235,17 @@ def derivation_paths(
     weights). Mostly a debugging and cross-checking aid; the probability
     computation sums amplitudes without materializing paths.
     """
-    weights = _normalized_weights(grammar)
     found: list[DerivationPath] = []
-
-    def rewrites(s: str) -> list[tuple[int, int, str]]:
-        out = []
-        for idx, rule in enumerate(grammar.rules):
-            pos = s.find(rule.lhs)
-            while pos != -1:
-                if position is None or pos == position:
-                    out.append((pos, idx, s[:pos] + rule.rhs + s[pos + len(rule.lhs) :]))
-                pos = s.find(rule.lhs, pos + 1)
-        out.sort(key=lambda item: item[:2])
-        return out
 
     def walk(s: str, steps: tuple[tuple[int, int], ...], amp: complex) -> None:
         if len(steps) >= max_steps:
             return
-        for pos, idx, result in rewrites(s):
-            next_amp = amp * weights[idx]
-            path = steps + ((pos, idx),)
-            if result == target:
+        for succ in step_successors(grammar, s, position=position):
+            next_amp = amp * succ.weight
+            path = steps + ((succ.position, succ.index),)
+            if succ.string == target:
                 found.append(DerivationPath(path, next_amp))
-            walk(result, path, next_amp)
+            walk(succ.string, path, next_amp)
 
     walk(source, (), 1.0 + 0j)
     return found

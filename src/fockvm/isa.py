@@ -104,17 +104,6 @@ REGISTER_OPCODES = frozenset(
 )
 
 
-def validate_instruction(instr: Instruction) -> None:
-    allowed = OPERAND_KINDS[instr.opcode]
-    if instr.operand is None:
-        if allowed:
-            raise ValueError(f"{instr.opcode.value} requires an operand")
-    elif instr.operand.kind not in allowed:
-        raise ValueError(
-            f"{instr.opcode.value} does not accept a {instr.operand.kind.value} operand"
-        )
-
-
 def bitwise_not(value: int) -> int:
     """Complement through the highest set bit; 0 maps to 0.
 

@@ -430,7 +430,7 @@ def _dispatch(
     env: Mapping[str, OperatorExpr],
     budget: int,
     tol: float,
-    stats: EvalStats | None,
+    stats: EvalStats,
     halted: list[Term],
 ) -> list[Term]:
     """Apply ``expr`` to the live ``terms`` and return the live results.
@@ -442,8 +442,7 @@ def _dispatch(
         return terms
 
     if isinstance(expr, (Raise, Lower, NumberOp, Clear, Copy)):
-        if stats is not None:
-            stats.primitive_ops += len(terms)
+        stats.primitive_ops += len(terms)
         # Leaf handlers loop instead of using comprehensions: on Python 3.11
         # a comprehension adds a frame at the deepest point of every
         # re-entry chain, which lowers the recursion ceiling.
@@ -490,14 +489,12 @@ def _dispatch(
             value = eval_exponent(expr.value, state)
             if value < 0:
                 raise NegativeExponent(f"set-value target evaluated to {value}")
-            if stats is not None:
-                stats.primitive_ops += 1
+            stats.primitive_ops += 1
             out.append((amp, with_location(state, expr.loc, value)))
         return out
 
     if isinstance(expr, InstructionOp):
-        if stats is not None:
-            stats.primitive_ops += len(terms)
+        stats.primitive_ops += len(terms)
         out = []
         for amp, state in terms:
             out.append((amp, isa.apply_to_state(expr.instr, state)))
@@ -513,8 +510,7 @@ def _dispatch(
                 )
             if body is None:
                 raise UndefinedReference(f"no definition for label {expr.label!r}")
-            if stats is not None:
-                stats.reentries += 1
+            stats.reentries += 1
             out.extend(_dispatch(body, [term], env, budget - 1, tol, stats, halted))
         return out
 
@@ -536,7 +532,6 @@ def apply_with_status(
     env: Mapping[str, OperatorExpr] | None = None,
     fuel_budget: int = DEFAULT_FUEL_BUDGET,
     *,
-    drop_tolerance: float = DROP_TOLERANCE,
     stats: EvalStats | None = None,
 ) -> tuple[Superposition, Superposition]:
     """Like :func:`apply_expr`, but returns the ``(live, halted)`` terms
@@ -548,9 +543,11 @@ def apply_with_status(
     """
     if fuel_budget < 0:
         raise ValueError(f"fuel budget must be nonnegative, got {fuel_budget}")
+    if stats is None:
+        stats = EvalStats()
     halted: list[Term] = []
-    live = _dispatch(expr, list(s.terms), env or {}, fuel_budget, drop_tolerance, stats, halted)
-    return merge(live, drop_tolerance), merge(halted, drop_tolerance)
+    live = _dispatch(expr, list(s.terms), env or {}, fuel_budget, DROP_TOLERANCE, stats, halted)
+    return merge(live), merge(halted)
 
 
 def apply_expr(
@@ -559,7 +556,6 @@ def apply_expr(
     env: Mapping[str, OperatorExpr] | None = None,
     fuel_budget: int = DEFAULT_FUEL_BUDGET,
     *,
-    drop_tolerance: float = DROP_TOLERANCE,
     stats: EvalStats | None = None,
 ) -> Superposition:
     """Apply an operator expression to a superposition.
@@ -568,10 +564,8 @@ def apply_expr(
     enclosing ``Define``. ``fuel_budget`` bounds recursive re-entries; a
     re-entry attempted with no budget raises :class:`FuelExhausted`.
     """
-    live, halted = apply_with_status(
-        expr, s, env, fuel_budget, drop_tolerance=drop_tolerance, stats=stats
-    )
-    return merge(live.terms + halted.terms, drop_tolerance)
+    live, halted = apply_with_status(expr, s, env, fuel_budget, stats=stats)
+    return merge(live.terms + halted.terms)
 
 
 def locations(node: object) -> set[Location]:
@@ -603,55 +597,37 @@ def _format_scalar(value: complex) -> str:
     return f"({re},{format(value.imag, '.12g')})"
 
 
+#: Printed names of the node classes whose name differs from the class name.
+_SEXPR_NAMES = {
+    InstructionOp: "Instruction",
+    Num: "NumberOp",
+    ExpAdd: "Add",
+    ExpSub: "Sub",
+    ExpMul: "Mul",
+}
+
+
 def sexpr(node: object) -> str:
-    """Deterministic S-expression dump of operator and exponent trees."""
+    """Deterministic S-expression dump of operator and exponent trees.
+
+    A node prints as ``(Name field ...)`` over its fields in declaration
+    order; a constant exponent prints as its bare value.
+    """
+    if isinstance(node, (OperatorExpr, ExponentExpr)):
+        if isinstance(node, Const):
+            return str(node.value)
+        name = _SEXPR_NAMES.get(type(node)) or type(node).__name__
+        return "(" + " ".join([name, *map(sexpr, vars(node).values())]) + ")"
     if isinstance(node, Location):
         return str(node)
-    if isinstance(node, Identity):
-        return "(Identity)"
-    if isinstance(node, Raise):
-        return f"(Raise {sexpr(node.loc)})"
-    if isinstance(node, Lower):
-        return f"(Lower {sexpr(node.loc)})"
-    if isinstance(node, NumberOp):
-        return f"(NumberOp {sexpr(node.loc)})"
-    if isinstance(node, Clear):
-        return f"(Clear {sexpr(node.loc)})"
-    if isinstance(node, Copy):
-        return f"(Copy {sexpr(node.dst)} {sexpr(node.src)})"
-    if isinstance(node, ScalarMul):
-        return f"(ScalarMul {_format_scalar(node.scalar)} {sexpr(node.expr)})"
-    if isinstance(node, Product):
-        return "(Product " + " ".join(sexpr(f) for f in node.factors) + ")"
-    if isinstance(node, Sum):
-        return "(Sum " + " ".join(sexpr(t) for t in node.terms) + ")"
-    if isinstance(node, GuardedPower):
-        return f"(GuardedPower {sexpr(node.base)} {sexpr(node.exponent)})"
-    if isinstance(node, SetValue):
-        return f"(SetValue {sexpr(node.loc)} {sexpr(node.value)})"
-    if isinstance(node, InstructionOp):
-        instr = node.instr
-        if instr.operand is None:
-            return f"(Instruction {instr.opcode.value})"
-        return f"(Instruction {instr.opcode.value} {instr.operand})"
-    if isinstance(node, RecursiveRef):
-        return f"(RecursiveRef {node.label})"
-    if isinstance(node, Bra):
-        return "(Bra)"
-    if isinstance(node, Define):
-        return f"(Define {node.label} {sexpr(node.body)})"
-    if isinstance(node, Const):
-        return str(node.value)
-    if isinstance(node, Num):
-        return f"(NumberOp {sexpr(node.loc)})"
-    if isinstance(node, ExpAdd):
-        return f"(Add {sexpr(node.left)} {sexpr(node.right)})"
-    if isinstance(node, ExpSub):
-        return f"(Sub {sexpr(node.left)} {sexpr(node.right)})"
-    if isinstance(node, ExpMul):
-        return f"(Mul {sexpr(node.left)} {sexpr(node.right)})"
-    if isinstance(node, Theta):
-        return f"(Theta {sexpr(node.arg)})"
-    if isinstance(node, ThetaTheta):
-        return f"(ThetaTheta {sexpr(node.arg)})"
+    if isinstance(node, tuple):
+        return " ".join(sexpr(item) for item in node)
+    if isinstance(node, str):
+        return node
+    if isinstance(node, (complex, float, int)):
+        return _format_scalar(node)
+    if isinstance(node, isa.Instruction):
+        if node.operand is None:
+            return node.opcode.value
+        return f"{node.opcode.value} {node.operand}"
     raise TypeError(f"cannot print {node!r}")

@@ -118,9 +118,6 @@ class RunResult:
     halted: tuple[bool, ...]
     steps_executed: int
 
-    def outputs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(state.output for _, state in self.final.terms)
-
     def sole(self) -> tuple[complex, BasisState]:
         if len(self.final.terms) != 1:
             raise ValueError(f"expected a single term, have {len(self.final.terms)}")

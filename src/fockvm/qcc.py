@@ -30,7 +30,7 @@ instruction layer; both lowerings agree on number eigenstates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Union
 
 from .errors import ParseError, UndefinedLabel, UnknownVariable, UnsupportedConstruct
@@ -643,6 +643,21 @@ def lower_to_qasm(ast: CAst, window: int = DEFAULT_WINDOW) -> Program:
 
 def compile_c(text: str, window: int = DEFAULT_WINDOW) -> Program:
     return lower_to_qasm(parse_c(text), window)
+
+
+def uses_pointers(ast: CAst) -> bool:
+    """Whether any statement takes an address or dereferences a pointer.
+
+    Lowered pointer code bakes address values into immediates, so its
+    listing must print raw addresses to reassemble faithfully.
+    """
+    pending: list[object] = list(ast.statements)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (AddressOf, Deref, DerefAssign)):
+            return True
+        pending.extend(value for value in vars(node).values() if is_dataclass(value))
+    return False
 
 
 # ---------------------------------------------------------------------------

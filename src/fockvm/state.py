@@ -28,7 +28,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import TypeVar
 
-from .errors import EmptyState, InputExhausted, ParseError
+from .errors import EmptyState, InputExhausted, NonFiniteAmplitude, ParseError
 
 #: Amplitudes with modulus below this after a merge are treated as
 #: cancellation noise and removed. Callers may override per merge.
@@ -209,7 +209,7 @@ def merge(
     for amp, state in terms:
         amp = complex(amp)
         if not cmath.isfinite(amp):
-            raise ValueError(f"non-finite amplitude {amp!r}")
+            raise NonFiniteAmplitude(f"non-finite amplitude {amp!r}")
         checked.append((amp, state))
     return Superposition(tuple(combine(checked, drop_tolerance)))
 
@@ -246,8 +246,13 @@ def probabilities(s: Superposition) -> dict[BasisState, float]:
     """Measurement probabilities |amp|^2 normalized to total one."""
     if not s.terms:
         raise EmptyState("cannot take probabilities of an empty superposition")
-    weights = [(state, abs(amp) ** 2) for amp, state in s.terms]
+    try:
+        weights = [(state, abs(amp) ** 2) for amp, state in s.terms]
+    except OverflowError:
+        raise NonFiniteAmplitude("a squared amplitude overflows") from None
     total = sum(w for _, w in weights)
+    if math.isinf(total):
+        raise NonFiniteAmplitude("the squared amplitudes sum past the float range")
     return {state: w / total for state, w in weights}
 
 
@@ -313,23 +318,8 @@ def serialize(s: Superposition) -> str:
     return json.dumps(records, indent=1)
 
 
-def _record_int(record: dict, key: str) -> int:
-    value = record.get(key, 0)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParseError(f"field {key!r} must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _record_stream(record: dict, key: str) -> tuple[int, ...]:
-    values = record.get(key, [])
-    if not isinstance(values, list):
-        raise ParseError(f"field {key!r} must be a list")
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ParseError(f"field {key!r} must hold nonnegative integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
+#: The scalar and stream fields of a term record, each optional.
+_STATE_FIELDS = ("register", "pc", "fuel", "input", "output")
 
 
 def deserialize(text: str) -> Superposition:
@@ -355,25 +345,22 @@ def deserialize(text: str) -> Superposition:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in amp)
         ):
             raise ParseError(f"amplitude must be a [re, im] number pair, got {amp!r}")
-        mem_obj = record.get("mem", {})
-        if not isinstance(mem_obj, dict):
+        try:
+            amplitude = complex(amp[0], amp[1])
+            finite = cmath.isfinite(amplitude)
+        except OverflowError:  # an integer part beyond the float range
+            finite = False
+        if not finite:
+            raise ParseError(f"amplitude must be finite, got {amp!r}")
+        mem = record.get("mem", {})
+        if not isinstance(mem, dict):
             raise ParseError("field 'mem' must be an address:value object")
-        mem = {}
-        for key, value in mem_obj.items():
-            try:
-                addr = int(key)
-            except ValueError:
-                raise ParseError(f"memory address {key!r} is not an integer") from None
-            if addr < 0 or isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ParseError(f"bad memory entry {key!r}: {value!r}")
-            mem[addr] = value
-        state = BasisState(
-            register=_record_int(record, "register"),
-            pc=_record_int(record, "pc"),
-            fuel=_record_int(record, "fuel"),
-            mem=mem,
-            input=_record_stream(record, "input"),
-            output=_record_stream(record, "output"),
-        )
-        terms.append((complex(amp[0], amp[1]), state))
+        if not all(isinstance(record.get(key, []), list) for key in ("input", "output")):
+            raise ParseError("fields 'input' and 'output' must be lists")
+        fields = {key: record[key] for key in _STATE_FIELDS if key in record}
+        try:
+            state = BasisState(mem={int(addr): value for addr, value in mem.items()}, **fields)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad term record: {exc}") from None
+        terms.append((amplitude, state))
     return merge(terms)

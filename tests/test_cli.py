@@ -102,6 +102,14 @@ class TestExitCodes:
             ("bit", "verify", "--modes", "9"),
             ("superpose", "data/add.qasm@nan", "--input", "2,3"),
             ("superpose", "data/add.qasm@(1,inf)", "--input", "2,3"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "12", "--state", "data/one_quantum.state", "-t", "nan"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "12", "--state", "data/one_quantum.state", "-t", "inf"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "12", "--state", "data/one_quantum.state", "-t=-inf"),
+            ("qc", "run", "data/add.qc", "--input", "1,2", "--window", "-5"),
+            ("qc", "compile", "data/pointer.qc", "--window", "-3"),
+            ("qc", "compile", "data/pointer.qc", "--window", "0"),
+            ("grammar", "derive", "data/xy.g", "--from", "xy", "--position", "-1"),
+            ("grammar", "prob", "data/xy.g", "--from", "xy", "--to", "xxy", "--position", "-1"),
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -111,6 +119,41 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evolve", "--hamiltonian", "hop", "--modes", "12", "--state", "data/one_quantum.state", "-t", "1e300", "--order", "3"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "12", "--state", "data/one_quantum.state", "-t", "1e30", "--order", "8"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "4", "--state", "{big}", "-t", "1e150", "--order", "2"),
+            ("sample", "{big}", "--count", "3"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_overflow_is_a_runtime_error(self, capsys, monkeypatch, data_dir, tmp_path, argv):
+        big = tmp_path / "big.state"
+        big.write_text('[{"amplitude": [1e200, 0], "mem": {"0": 1}}]')
+        monkeypatch.chdir(data_dir.parent)
+        code, out, err = run_cli(capsys, *(arg.format(big=big) for arg in argv))
+        assert code == 3 and out == ""
+        assert err.startswith("runtime error: NonFiniteAmplitude: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("amp", ["[NaN, 0]", "[0, Infinity]"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "{path}", "--count", "3"),
+            ("evolve", "--hamiltonian", "hop", "--modes", "4", "--state", "{path}"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_state_file_is_a_parse_error(self, capsys, tmp_path, amp, argv):
+        path = tmp_path / "bad.state"
+        path.write_text(f'[{{"amplitude": {amp}, "mem": {{"0": 1}}}}]')
+        code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 class TestAssembleCompile:

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from fockvm.errors import StateSpaceTooLarge, SubtractUnderflow, TruncationOverflow
+from fockvm.errors import (
+    NonFiniteAmplitude,
+    StateSpaceTooLarge,
+    SubtractUnderflow,
+    TruncationOverflow,
+)
 from fockvm.evolution import (
     assembly_hop_term,
     build_adder_hamiltonian,
@@ -83,6 +88,12 @@ class TestEvolve:
         h = build_hop_hamiltonian(3)
         with pytest.raises(TruncationOverflow):
             evolve(h, unit(hop_seed()), 0.1, 5)
+
+    @pytest.mark.parametrize("t, order", [(1e300, 3), (1e200, 2)])
+    def test_coefficient_overflow_is_a_machine_error(self, t, order):
+        h = build_hop_hamiltonian(12)
+        with pytest.raises(NonFiniteAmplitude):
+            evolve(h, unit(hop_seed()), t, order)
 
     def test_linearity(self):
         h = build_hop_hamiltonian(6)

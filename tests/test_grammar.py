@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -12,9 +13,11 @@ from fockvm.grammar import (
     outcome_distribution,
     parse_grammar,
     pass_distribution,
+    pass_outcomes,
     step_successors,
     transition_probability,
 )
+from fockvm.state import round_significant
 
 XY_TEXT = """
 start: S
@@ -190,6 +193,23 @@ class TestPassDistribution:
         assert marginal == pytest.approx(single)
 
 
+class TestPassOutcomes:
+    def test_matches_cli_golden(self, data_dir):
+        golden = data_dir.parent / "tests" / "golden" / "derive-pass-json.txt"
+        expected = json.loads(golden.read_text().split("\n", 1)[1])["outcomes"]
+        outcomes = pass_outcomes(parse_grammar((data_dir / "coin.g").read_text()), "hh", 2)
+        assert [
+            {"string": s, "probability": round_significant(p)} for s, p in sorted(outcomes.items())
+        ] == expected
+
+    def test_zero_passes_is_the_source(self):
+        assert pass_outcomes(parse_grammar(COIN_TEXT), "ht", 0) == {"ht": 1.0}
+
+    def test_one_pass_is_the_distribution(self):
+        g = parse_grammar(COIN_TEXT)
+        assert pass_outcomes(g, "hh", 1) == pass_distribution(g, "hh")
+
+
 class TestTransitionProbability:
     def test_xy_one_step(self):
         g = parse_grammar(XY_TEXT)
@@ -292,6 +312,12 @@ class TestTransitionProbability:
         total = sum(p.amplitude for p in derivation_paths(g, "xy", "xxxy", 2, position=0))
         relative, _ = transition_probability(g, "xy", "xxxy", 2, position=0)
         assert total.real == pytest.approx(relative, abs=1e-12)
+
+    def test_derivation_paths_tell_identical_rules_apart(self):
+        g = Grammar("a", (Rule("a", "b", 1.0), Rule("a", "b", 3.0)))
+        paths = derivation_paths(g, "a", "b", 1)
+        assert [p.steps for p in paths] == [((0, 0),), ((0, 1),)]
+        assert [p.amplitude for p in paths] == [0.25, 0.75]
 
     @given(
         weights=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4),

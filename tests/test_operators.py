@@ -11,8 +11,9 @@ from fockvm.errors import (
     UndefinedReference,
     UnsupportedLocation,
 )
-from fockvm.isa import Instruction, Opcode, address, immediate
+from fockvm.isa import Instruction, Opcode, address, count, immediate
 from fockvm.operators import (
+    FUEL,
     IN,
     OUT,
     PC,
@@ -22,6 +23,9 @@ from fockvm.operators import (
     Const,
     Copy,
     Define,
+    ExpAdd,
+    ExpMul,
+    ExpSub,
     GuardedPower,
     Identity,
     InstructionOp,
@@ -30,8 +34,10 @@ from fockvm.operators import (
     Num,
     NumberOp,
     Raise,
+    Product,
     RecursiveRef,
     SetValue,
+    Sum,
     Theta,
     ThetaTheta,
     apply_expr,
@@ -276,3 +282,56 @@ class TestSexpr:
     def test_scalar_formats(self):
         assert sexpr(scaled(0.5, Identity())) == "(ScalarMul 0.5 (Identity))"
         assert sexpr(scaled(1j, Bra())) == "(ScalarMul (0,1) (Bra))"
+
+
+@pytest.mark.parametrize(
+    "node, text",
+    [
+        (Identity(), "(Identity)"),
+        (Raise(REGISTER), "(Raise Register)"),
+        (Lower(Mem(3)), "(Lower (Mem 3))"),
+        (NumberOp(FUEL), "(NumberOp Fuel)"),
+        (Clear(PC), "(Clear ProgramCounter)"),
+        (Copy(OUT, Mem(2)), "(Copy Out (Mem 2))"),
+        (Copy(Mem(0), IN), "(Copy (Mem 0) In)"),
+        (scaled(0.5, Identity()), "(ScalarMul 0.5 (Identity))"),
+        (scaled(complex(0.25, -1.5), Bra()), "(ScalarMul (0.25,-1.5) (Bra))"),
+        (
+            Product((Raise(Mem(0)), Lower(Mem(1)), Identity())),
+            "(Product (Raise (Mem 0)) (Lower (Mem 1)) (Identity))",
+        ),
+        (Sum((Identity(), Bra())), "(Sum (Identity) (Bra))"),
+        (
+            GuardedPower(Raise(Mem(0)), Theta(Num(PC) - 1)),
+            "(GuardedPower (Raise (Mem 0)) (Theta (Sub (NumberOp ProgramCounter) 1)))",
+        ),
+        (
+            SetValue(Mem(2), Num(Mem(0)) + Num(Mem(1))),
+            "(SetValue (Mem 2) (Add (NumberOp (Mem 0)) (NumberOp (Mem 1))))",
+        ),
+        (InstructionOp(Instruction(Opcode.NOT)), "(Instruction NOT)"),
+        (InstructionOp(Instruction(Opcode.ADD, address(3))), "(Instruction ADD [3])"),
+        (InstructionOp(Instruction(Opcode.ADD, immediate(5))), "(Instruction ADD #5)"),
+        (InstructionOp(Instruction(Opcode.SHIFT, count(-2))), "(Instruction SHIFT -2)"),
+        (RecursiveRef("program"), "(RecursiveRef program)"),
+        (Bra(), "(Bra)"),
+        (Define("program", RecursiveRef("program")), "(Define program (RecursiveRef program))"),
+        (Const(7), "7"),
+        (Num(REGISTER), "(NumberOp Register)"),
+        (ExpAdd(Const(1), Num(Mem(4))), "(Add 1 (NumberOp (Mem 4)))"),
+        (ExpSub(Num(PC), Const(4)), "(Sub (NumberOp ProgramCounter) 4)"),
+        (ExpMul(Const(2), Const(3)), "(Mul 2 3)"),
+        (Theta(Const(0)), "(Theta 0)"),
+        (ThetaTheta(Num(FUEL) - 1), "(ThetaTheta (Sub (NumberOp Fuel) 1))"),
+        (Mem(5), "(Mem 5)"),
+        (IN, "In"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+)
+def test_sexpr_node_forms(node, text):
+    assert sexpr(node) == text
+
+
+def test_sexpr_rejects_foreign_objects():
+    with pytest.raises(TypeError):
+        sexpr(object())

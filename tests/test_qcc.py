@@ -33,6 +33,7 @@ from fockvm.qcc import (
     parse_c,
     star_get,
     star_set,
+    uses_pointers,
 )
 from fockvm.operators import Clear, Mem, Num, NumberOp, apply_expr
 from fockvm.state import BasisState, unit
@@ -291,6 +292,27 @@ class TestPointers:
         source = "; ".join(f"v{i} = {i}" for i in range(10)) + "; z = *v0; halt;"
         with pytest.raises(UnsupportedConstruct):
             compile_c(source, window=4)
+
+
+class TestUsesPointers:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "p = &x; halt;",
+            "a = 1; b = ~(a + *a); halt;",
+            "a = 1; output((*a) << 2); halt;",
+            "a = 1; top: if (*a == 0) goto top; halt;",
+            "a = 1; *a = 2; halt;",
+        ],
+    )
+    def test_address_or_dereference_anywhere(self, source):
+        assert uses_pointers(parse_c(source))
+
+    def test_plain_program(self, data_dir):
+        assert not uses_pointers(parse_c((data_dir / "add.qc").read_text()))
+
+    def test_pointer_sample(self, data_dir):
+        assert uses_pointers(parse_c((data_dir / "pointer.qc").read_text()))
 
 
 class TestDirectLowering:

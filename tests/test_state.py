@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockvm.errors import EmptyState, InputExhausted, ParseError
+from fockvm.errors import EmptyState, InputExhausted, NonFiniteAmplitude, ParseError
 from fockvm.state import (
     BasisState,
     combine,
@@ -178,6 +178,8 @@ class TestMerge:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             merge([(complex("inf"), S)])
+        with pytest.raises(NonFiniteAmplitude):
+            merge([(complex("nan"), S)])
 
     @given(st.lists(st.tuples(amplitudes, states), max_size=6))
     def test_idempotent(self, terms):
@@ -250,6 +252,12 @@ class TestProbabilities:
         with pytest.raises(EmptyState):
             probabilities(merge([]))
 
+    @pytest.mark.parametrize("amps", [[1e200], [1e154, 1e154j], [complex(1e308, 1e308)]])
+    def test_overflow_is_a_machine_error(self, amps):
+        v = merge([(amp, BasisState(mem={i: 1})) for i, amp in enumerate(amps)])
+        with pytest.raises(NonFiniteAmplitude):
+            probabilities(v)
+
     @given(superpositions.filter(bool))
     def test_sums_to_one(self, v):
         assert sum(probabilities(v).values()) == pytest.approx(1.0, abs=1e-12)
@@ -315,3 +323,26 @@ class TestSerialization:
             deserialize('[{"amplitude": [1.0, 0.0], "register": -3}]')
         with pytest.raises(ParseError):
             deserialize('[{"amplitude": [1.0, 0.0], "mem": {"x": 1}}]')
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"amplitude": [1.0, 0.0], "pc": true',
+            '"amplitude": [1.0, 0.0], "fuel": 1.5',
+            '"amplitude": [1.0, 0.0], "mem": {"-1": 1}',
+            '"amplitude": [1.0, 0.0], "mem": {"0": -1}',
+            '"amplitude": [1.0, 0.0], "mem": [[0, 1]]',
+            '"amplitude": [1.0, 0.0], "input": 5',
+            '"amplitude": [1.0, 0.0], "input": {}',
+            '"amplitude": [1.0, 0.0], "output": "12"',
+            '"amplitude": [1.0, 0.0], "output": [-1]',
+        ],
+    )
+    def test_field_schema_errors(self, fields):
+        with pytest.raises(ParseError):
+            deserialize(f"[{{{fields}}}]")
+
+    @pytest.mark.parametrize("amp", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]", "[1e400, 0]", f"[{10**400}, 0]"])
+    def test_non_finite_amplitude_is_a_parse_error(self, amp):
+        with pytest.raises(ParseError, match="finite"):
+            deserialize(f'[{{"amplitude": {amp}, "mem": {{"0": 1}}}}]')
