@@ -192,9 +192,16 @@ def _cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _cmd_grammar_derive(args) -> int:
+def _read_grammar(args) -> tuple[grammar.Grammar, str]:
+    """The grammar file and the source string of a ``grammar`` subcommand."""
     g = grammar.parse_grammar(_read(args.file))
-    source = args.source if args.source is not None else g.start
+    if args.mode == "pass" and g.mode != grammar.CLASSICAL:
+        raise UsageError("--mode pass needs a classical grammar")
+    return g, args.source if args.source is not None else g.start
+
+
+def _cmd_grammar_derive(args) -> int:
+    g, source = _read_grammar(args)
     if args.mode == "pass":
         outcomes = grammar.pass_outcomes(g, source, args.steps)
     else:
@@ -215,8 +222,7 @@ def _cmd_grammar_derive(args) -> int:
 
 
 def _cmd_grammar_prob(args) -> int:
-    g = grammar.parse_grammar(_read(args.file))
-    source = args.source if args.source is not None else g.start
+    g, source = _read_grammar(args)
     if args.mode == "pass":
         probability = grammar.pass_distribution(g, source).get(args.target, 0.0)
         if args.json:

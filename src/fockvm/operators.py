@@ -19,7 +19,10 @@ primitives acting on machine basis states:
 * ``InstructionOp``: the amplitude-one value action of an arithmetic or
   bitwise assembly instruction on the register.
 * ``RecursiveRef``/``Define``: re-entry points for compiled programs with
-  backward jumps.
+  backward jumps. A term that reaches a ``RecursiveRef`` leaves the current
+  pass, like a halted one; the enclosing ``Define`` then runs its body again
+  on the re-entered terms, one pass per re-entry, until none re-enters. The
+  fuel budget counts these passes; there is no other depth limit.
 * ``Bra``: halts a term. The term leaves the evaluator's working set at
   once and is returned with the halted terms, so it is inert under every
   further operator, ``Sum`` included; only an enclosing ``ScalarMul``
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .state import DROP_TOLERANCE, BasisState, Superposition, combine, merge
 
-#: Default evaluator recursion budget, matching the default fuel counter.
+#: Default budget of re-entry passes, matching the default fuel counter.
 DEFAULT_FUEL_BUDGET = 10
 
 
@@ -330,7 +333,7 @@ class InstructionOp(OperatorExpr):
 
 @dataclass(frozen=True)
 class RecursiveRef(OperatorExpr):
-    """Re-enter the named definition, spending one unit of evaluator budget."""
+    """Re-enter the named definition in its next pass, spending one unit of budget."""
 
     label: str
 
@@ -427,7 +430,7 @@ def _copy_action(state: BasisState, dst: Location, src: Location) -> BasisState:
 def _dispatch(
     expr: OperatorExpr,
     terms: list[Term],
-    env: Mapping[str, OperatorExpr],
+    env: Mapping[str, list[Term]],
     budget: int,
     tol: float,
     stats: EvalStats,
@@ -435,29 +438,30 @@ def _dispatch(
 ) -> list[Term]:
     """Apply ``expr`` to the live ``terms`` and return the live results.
 
-    A term that reaches a ``Bra`` is appended to ``halted`` and leaves the
-    working set, so no further operator sees it.
+    A term that reaches a ``Bra`` is appended to ``halted``, and one that
+    reaches a ``RecursiveRef`` to its label's re-entry list in ``env``; either
+    way it leaves the working set, so no further operator of this pass sees
+    it. ``budget`` is the number of re-entry passes still allowed.
     """
     if isinstance(expr, Identity):
         return terms
 
     if isinstance(expr, (Raise, Lower, NumberOp, Clear, Copy)):
         stats.primitive_ops += len(terms)
-        # Leaf handlers loop instead of using comprehensions: on Python 3.11
-        # a comprehension adds a frame at the deepest point of every
-        # re-entry chain, which lowers the recursion ceiling.
-        out: list[Term] = []
-        for amp, state in terms:
-            for factor, image in apply_primitive(expr, state):
-                out.append((amp * factor, image))
-        return out
+        return [
+            (amp * factor, image)
+            for amp, state in terms
+            for factor, image in apply_primitive(expr, state)
+        ]
 
     if isinstance(expr, ScalarMul):
         if not cmath.isfinite(expr.scalar):
             raise ValueError(f"non-finite scalar {expr.scalar!r}")
-        stopped: list[Term] = []
-        live = _dispatch(expr.expr, terms, env, budget, tol, stats, stopped)
-        halted.extend((expr.scalar * amp, state) for amp, state in stopped)
+        # Terms that halt or re-enter inside are scaled where they were put.
+        marks = [(pending, len(pending)) for pending in (halted, *env.values())]
+        live = _dispatch(expr.expr, terms, env, budget, tol, stats, halted)
+        for pending, mark in marks:
+            pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
         return [(expr.scalar * amp, state) for amp, state in live]
 
     if isinstance(expr, Product):
@@ -495,33 +499,30 @@ def _dispatch(
 
     if isinstance(expr, InstructionOp):
         stats.primitive_ops += len(terms)
-        out = []
-        for amp, state in terms:
-            out.append((amp, isa.apply_to_state(expr.instr, state)))
-        return out
+        return [(amp, isa.apply_to_state(expr.instr, state)) for amp, state in terms]
 
     if isinstance(expr, RecursiveRef):
-        body = env.get(expr.label)
-        out = []
-        for term in terms:
+        if terms:
             if budget <= 0:
-                raise FuelExhausted(
-                    f"recursive re-entry of {expr.label!r} with no budget left"
-                )
-            if body is None:
+                raise FuelExhausted(f"recursive re-entry of {expr.label!r} with no budget left")
+            if expr.label not in env:
                 raise UndefinedReference(f"no definition for label {expr.label!r}")
-            stats.reentries += 1
-            out.extend(_dispatch(body, [term], env, budget - 1, tol, stats, halted))
-        return out
+            stats.reentries += len(terms)
+            env[expr.label].extend(terms)
+        return []
 
     if isinstance(expr, Bra):
         halted.extend(terms)
         return []
 
     if isinstance(expr, Define):
-        extended = dict(env)
-        extended[expr.label] = expr.body
-        return _dispatch(expr.body, terms, extended, budget, tol, stats, halted)
+        out = []
+        while terms:
+            reentered: list[Term] = []
+            inner = {**env, expr.label: reentered}
+            out.extend(_dispatch(expr.body, terms, inner, budget, tol, stats, halted))
+            terms, budget = reentered, budget - 1
+        return out
 
     raise TypeError(f"not an operator expression: {expr!r}")
 
@@ -529,7 +530,6 @@ def _dispatch(
 def apply_with_status(
     expr: OperatorExpr,
     s: Superposition,
-    env: Mapping[str, OperatorExpr] | None = None,
     fuel_budget: int = DEFAULT_FUEL_BUDGET,
     *,
     stats: EvalStats | None = None,
@@ -546,25 +546,23 @@ def apply_with_status(
     if stats is None:
         stats = EvalStats()
     halted: list[Term] = []
-    live = _dispatch(expr, list(s.terms), env or {}, fuel_budget, DROP_TOLERANCE, stats, halted)
+    live = _dispatch(expr, list(s.terms), {}, fuel_budget, DROP_TOLERANCE, stats, halted)
     return merge(live), merge(halted)
 
 
 def apply_expr(
     expr: OperatorExpr,
     s: Superposition,
-    env: Mapping[str, OperatorExpr] | None = None,
     fuel_budget: int = DEFAULT_FUEL_BUDGET,
     *,
     stats: EvalStats | None = None,
 ) -> Superposition:
     """Apply an operator expression to a superposition.
 
-    ``env`` supplies definitions for ``RecursiveRef`` labels not bound by an
-    enclosing ``Define``. ``fuel_budget`` bounds recursive re-entries; a
-    re-entry attempted with no budget raises :class:`FuelExhausted`.
+    ``fuel_budget`` bounds the re-entry passes of every ``Define``; a
+    re-entry attempted with no budget left raises :class:`FuelExhausted`.
     """
-    live, halted = apply_with_status(expr, s, env, fuel_budget, stats=stats)
+    live, halted = apply_with_status(expr, s, fuel_budget, stats=stats)
     return merge(live.terms + halted.terms)
 
 

@@ -402,10 +402,9 @@ def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
         elif ins.opcode is Opcode.TRA:
             body = _jump_expr(step, ins.operand.value, _DEFINITION_LABEL)
         elif ins.opcode is Opcode.TZR:
-            # The advance branch re-checks the program counter: a term
-            # returning from a nested re-entry that was cut by fuel
-            # exhaustion flows through this product, and must only advance
-            # if it is genuinely parked at this step.
+            # The advance branch re-checks the program counter. Re-entered
+            # terms leave their pass, so no term cut by fuel reaches it; the
+            # check keeps the compiled form and its dump as the paper builds them.
             body = product(
                 GuardedPower(
                     SetValue(PC, Const(step + 1)),

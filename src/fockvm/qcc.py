@@ -201,10 +201,22 @@ def _tokenize(text: str) -> list[Token]:
 _KEYWORDS = {"input", "output", "halt", "goto", "if"}
 
 
+#: Precedence level of each binary operator, loosest first; a shift takes a
+#: literal count instead of a right operand.
+_BINARY_LEVEL = {"|": 0, "&": 1, "<<": 2, ">>": 2, "+": 3, "-": 3, "*": 4, "/": 4}
+
+#: The deepest expression the parser builds: each parenthesis, unary operator
+#: and operator of a chain adds a level. Parsing and lowering recurse a few
+#: frames per level, so this keeps both well inside the default recursion limit.
+MAX_EXPR_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # parentheses and unary operators around the parse point
+        self.depth = 0  # depth of the expression parsed last
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -291,73 +303,62 @@ class _Parser:
             return DerefAssign(pointer, expr)
         raise ParseError(f"cannot start a statement with {tok.text!r}", tok.line, tok.column)
 
-    def parse_expr(self) -> Expr:
-        return self.parse_bitor()
-
-    def parse_bitor(self) -> Expr:
-        expr = self.parse_bitand()
-        while self.peek().text == "|":
-            self.next()
-            expr = Binary("|", expr, self.parse_bitand())
-        return expr
-
-    def parse_bitand(self) -> Expr:
-        expr = self.parse_shift()
-        while self.peek().text == "&":
-            self.next()
-            expr = Binary("&", expr, self.parse_shift())
-        return expr
-
-    def parse_shift(self) -> Expr:
-        expr = self.parse_additive()
-        while self.peek().text in {"<<", ">>"}:
-            op = self.next()
-            amount = self.next()
-            if amount.kind != "int":
-                raise ParseError("shift counts must be integer literals", amount.line, amount.column)
-            k = int(amount.text)
-            expr = Shift(expr, k if op.text == "<<" else -k)
-        return expr
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_multiplicative()
-        while self.peek().text in {"+", "-"}:
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_multiplicative())
-        return expr
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, min_level: int = 0) -> Expr:
+        """Precedence climbing over ``_BINARY_LEVEL`` from ``min_level`` up. After an
+        operator of level k only levels up to k may follow, as in a grammar with
+        one rule per level: ``a << 1 + b`` is an error, ``a << 1 << 2`` is not."""
         expr = self.parse_unary()
-        while self.peek().text in {"*", "/"}:
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_unary())
+        ceiling = max(_BINARY_LEVEL.values())
+        while min_level <= _BINARY_LEVEL.get(self.peek().text, -1) <= ceiling:
+            op, left = self.next(), self.depth
+            ceiling = _BINARY_LEVEL[op.text]
+            if op.text in {"<<", ">>"}:
+                amount = self.next()
+                if amount.kind != "int":
+                    raise ParseError("shift counts must be integer literals", amount.line, amount.column)
+                k = int(amount.text)
+                expr = Shift(expr, k if op.text == "<<" else -k)
+            else:
+                expr = Binary(op.text, expr, self.parse_expr(ceiling + 1))
+            self.depth = self.bounded(max(left, self.depth) + 1, op)
         return expr
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.text == "~":
-            self.next()
-            return BitNot(self.parse_unary())
-        if tok.text == "*":
-            self.next()
-            return Deref(self.parse_unary())
+        if tok.text not in {"~", "*", "&"}:
+            return self.parse_primary()
+        self.next()
         if tok.text == "&":
-            self.next()
-            name = self.expect_ident()
-            return AddressOf(name.text)
-        return self.parse_primary()
+            self.depth = 1
+            return AddressOf(self.expect_ident().text)
+        operand = self.parse_nested(tok, self.parse_unary)
+        return BitNot(operand) if tok.text == "~" else Deref(operand)
 
     def parse_primary(self) -> Expr:
         tok = self.next()
+        if tok.text == "(":
+            expr = self.parse_nested(tok, self.parse_expr)
+            self.expect(")")
+            return expr
+        self.depth = 1
         if tok.kind == "int":
             return Lit(int(tok.text))
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             return Var(tok.text)
-        if tok.text == "(":
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+
+    def parse_nested(self, tok: Token, parse) -> Expr:
+        """Parse one level below ``tok``, a parenthesis or unary operator."""
+        self.open = self.bounded(self.open + 1, tok)
+        expr = parse()
+        self.open -= 1
+        self.depth = self.bounded(self.depth + 1, tok)
+        return expr
+
+    def bounded(self, depth: int, tok: Token) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.column)
+        return depth
 
 
 def parse_c(text: str) -> CAst:
@@ -374,13 +375,8 @@ def parse_c(text: str) -> CAst:
                 raise ParseError(f"duplicate label {stmt.name!r}")
             labels.add(stmt.name)
     for stmt in ast.statements:
-        target = None
-        if isinstance(stmt, Goto):
-            target = stmt.label
-        elif isinstance(stmt, IfZeroGoto):
-            target = stmt.label
-        if target is not None and target not in labels:
-            raise UndefinedLabel(f"goto target {target!r} is not defined")
+        if isinstance(stmt, (Goto, IfZeroGoto)) and stmt.label not in labels:
+            raise UndefinedLabel(f"goto target {stmt.label!r} is not defined")
     return ast
 
 

@@ -2,8 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fockvm.cli import main
+from fockvm.qcc import MAX_EXPR_DEPTH
+from test_qasm import COUNTING_LOOP
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +114,8 @@ class TestExitCodes:
             ("qc", "compile", "data/pointer.qc", "--window", "0"),
             ("grammar", "derive", "data/xy.g", "--from", "xy", "--position", "-1"),
             ("grammar", "prob", "data/xy.g", "--from", "xy", "--to", "xxy", "--position", "-1"),
+            ("grammar", "derive", "data/interference.g", "--mode", "pass"),
+            ("grammar", "prob", "data/interference.g", "--to", "x", "--mode", "pass"),
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -345,6 +351,184 @@ class TestQcCommands:
             capsys, "qc", "compile", str(data_dir / "add.qc"), "--emit", "opexpr"
         )
         assert code == 0 and out.startswith("(Product")
+
+
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "a = " + "~" * 1500 + "1;\n",
+            "a = " + "(" * 400 + "1" + ")" * 400 + ";\n",
+            "a = " + "+".join(["b"] * 3000) + ";\n",
+        ],
+        ids=["1500-bit-nots", "400-parentheses", "3000-term-sum"],
+    )
+    def test_too_deep_expression_is_a_parse_error(self, capsys, tmp_path, command, source):
+        path = tmp_path / "deep.qc"
+        path.write_text(source)
+        code, out, err = run_cli(capsys, "qc", command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert f"nested deeper than {MAX_EXPR_DEPTH} levels" in err
+
+
+class TestCountingLoop:
+    """n = 300 iterations make 300 backward jumps; an algebraic run needs
+    exactly that much fuel and has no other depth limit."""
+
+    @pytest.mark.parametrize("fuel", ["300", "301"])
+    def test_enough_fuel_matches_the_interpreter(self, capsys, tmp_path, fuel):
+        path = tmp_path / "count.qasm"
+        path.write_text(COUNTING_LOOP)
+        code, want, _ = run_cli(capsys, "run", str(path), "--input", "300,4,13")
+        assert code == 0
+        code, got, err = run_cli(
+            capsys, "run", str(path), "--input", "300,4,13", "--mode", "algebraic", "--fuel", fuel
+        )
+        assert code == 0 and err == ""
+        assert got.splitlines()[:3] == want.splitlines()[:3] == [
+            "output: [45150]",
+            "register: 0",
+            "memory: {1: 4, 2: 13, 3: 45150, 4: 1}",
+        ]
+
+    def test_one_fuel_unit_short_is_a_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "count.qasm"
+        path.write_text(COUNTING_LOOP)
+        code, out, err = run_cli(
+            capsys, "run", str(path), "--input", "300,4,13", "--mode", "algebraic", "--fuel", "299"
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("runtime error: FuelExhausted: ") and err.count("\n") == 1
+
+
+# Generated input files, one strategy per file format. Each mixes lines
+# built from the format's grammar with lines of loose tokens. Integers stay
+# at most 10^3, and runs get small step, fuel and window limits, so the test
+# probes parsing and validation rather than resource limits.
+_INTS = st.integers(-1, 1000).map(str)
+
+
+def _mostly(good, bad):
+    """``good`` four times in five, else ``bad``."""
+    return st.integers(0, 4).flatmap(lambda roll: good if roll else bad)
+
+
+def _text(line, junk, last=""):
+    """Lines drawn mostly from ``line``, sometimes from loose ``junk`` tokens,
+    and half the time a ``last`` line."""
+    lines = st.lists(_mostly(line, st.lists(junk, max_size=4).map(" ".join)), min_size=1, max_size=8)
+    return st.tuples(lines.map("\n".join), st.sampled_from(["", last])).map("\n".join)
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map(" ".join)
+
+
+_ADDRESSES = st.one_of(st.sampled_from(["x", "y", "t"]), _INTS.map("[{}]".format))
+_QASM = _text(
+    st.one_of(
+        _joined(st.sampled_from(["HALT", "NOT"])),
+        _joined(st.just("SHIFT"), _INTS),
+        _joined(st.sampled_from(["STORE", "INPUT", "OUTPUT", "TRA", "TZR"]), _ADDRESSES),
+        _joined(st.sampled_from(["LOAD", "ADD", "SUBTRACT", "MULTIPLY", "DIVIDE", "AND", "OR"]),
+                st.one_of(_ADDRESSES, _INTS.map("#{}".format))),
+    ),
+    st.one_of(st.sampled_from(["LOAD", "HALT", "TRA", "frob", "x", "#", "#x", "[x]", ";", "7"]), _INTS),
+    last="HALT",
+)
+
+_QC_EXPR = st.recursive(
+    st.one_of(st.sampled_from(["a", "b", "p", "&a", "&p"]), _INTS),
+    lambda inner: st.one_of(
+        _joined(inner, st.sampled_from(["+", "-", "*", "/", "&", "|"]), inner),
+        _joined(inner, st.sampled_from(["<<", ">>"]), st.sampled_from(["1", "3", "a"])),
+        _joined(st.sampled_from(["~", "*"]), inner),
+        inner.map("({})".format),
+    ),
+    max_leaves=6,
+)
+_QC = _text(
+    st.one_of(
+        _QC_EXPR.map("a = {};".format),
+        _QC_EXPR.map("p = {};".format),
+        _QC_EXPR.map("*p = {};".format),
+        _QC_EXPR.map("output({});".format),
+        _QC_EXPR.map("if ({} == 0) goto L;".format),
+        st.sampled_from(["L:", "goto L;", "input(a);", "input(p);", "halt;", "// note"]),
+    ),
+    st.one_of(st.sampled_from(["a", "=", ";", ":", "(", ")", "==", "goto", "M", "$", "//"]), _INTS),
+    last="L: halt;",
+)
+
+_SYMBOLS = st.text("Sxy", min_size=1, max_size=3)
+_GRAMMAR = st.tuples(
+    st.sampled_from(["", "", "mode: classical\n", "mode: quantum\n", "mode: quantum\n", "mode: other\n"]),
+    st.sampled_from(["start: S\n", "start: S\n", "start: xy\n", "start: xy\n", "start:\n", ""]),
+    _text(
+        _joined(st.just("rule:"), _SYMBOLS, st.just("->"), _SYMBOLS,
+                st.one_of(st.just(""), _INTS.map("@ {}".format),
+                          st.sampled_from(["@ 0.5", "@ (1,2)", "@ (0,-1)", "@ nan", "@ 1e400", "@"]))),
+        st.sampled_from(["start:", "rule:", "->", "@", "S", "x", "# note"]),
+    ),
+).map("".join)
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.floats(-1e3, 1e3), st.sampled_from(["0", "x"]))
+_JSON_INTS = _mostly(st.integers(-1, 1000), _JSON_SCALARS)
+_JSON_INT_LISTS = _mostly(st.lists(st.integers(-1, 1000), max_size=3), _JSON_SCALARS)
+_STATE_RECORD = st.fixed_dictionaries(
+    {"amplitude": _mostly(st.lists(st.floats(-2, 2), min_size=2, max_size=2).filter(any), _JSON_SCALARS)},
+    optional={
+        "register": _JSON_INTS,
+        "pc": _JSON_INTS,
+        "fuel": _JSON_INTS,
+        "mem": _mostly(st.dictionaries(st.sampled_from(["0", "1", "3", "-1", "x"]), _JSON_INTS, max_size=3),
+                       _JSON_SCALARS),
+        "input": _JSON_INT_LISTS,
+        "output": _JSON_INT_LISTS,
+        "other": _JSON_SCALARS,
+    },
+)
+_STATE = _mostly(
+    st.lists(_STATE_RECORD, max_size=3).map(json.dumps),
+    st.lists(st.sampled_from(["[", "]", "{", "}", ",", ":", '"amplitude"', '"mem"', '"0"',
+                              "[1, 0]", "NaN", "Infinity", "1e400", "null"]), max_size=12).map(" ".join),
+)
+_RUN = ("--input", "1,2,3", "--fuel", "2", "--step-limit", "30")
+_CONTRACT_CASES = {
+    "assemble": (_QASM, ("assemble", "{}"), {}),
+    "run": (_QASM, ("run", "{}", *_RUN), {"--mode": ["interp", "algebraic"]}),
+    "compile": (_QASM, ("compile", "{}"), {"--form": ["sequential", "guarded"]}),
+    "qc compile": (_QC, ("qc", "compile", "{}", "--window", "4"), {"--emit": ["qasm", "opexpr"]}),
+    "qc run": (_QC, ("qc", "run", "{}", "--window", "4", *_RUN), {"--mode": ["interp", "algebraic"]}),
+    "grammar derive": (_GRAMMAR, ("grammar", "derive", "{}", "--steps", "2"), {"--mode": ["step", "pass"]}),
+    "grammar prob": (_GRAMMAR, ("grammar", "prob", "{}", "--to", "xy", "--max-steps", "2"), {"--mode": ["step", "pass"]}),
+    "sample": (_STATE, ("sample", "{}", "--count", "3"), {}),
+    "evolve --state": (_STATE, ("evolve", "--hamiltonian", "hop", "--modes", "4", "--order", "2", "--state", "{}"), {}),
+}
+
+
+class TestCliContract:
+    """Every file a subcommand reads ends in exit 0, 2, 3 or 4, never a
+    traceback, and a nonzero exit prints exactly one diagnostic line."""
+
+    @pytest.mark.parametrize("command", list(_CONTRACT_CASES))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_file_gives_a_documented_exit(self, capsys, tmp_path, command, data):
+        text_strategy, argv, choices = _CONTRACT_CASES[command]
+        path = tmp_path / "input"
+        path.write_text(data.draw(text_strategy, label="file") + "\n")
+        argv = [arg.format(path) for arg in argv]
+        for flag, values in choices.items():
+            argv += [flag, data.draw(st.sampled_from(values), label=flag)]
+        if data.draw(st.booleans(), label="--json"):
+            argv.append("--json")
+        code, _, err = run_cli(capsys, *argv)
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err
+        if code != 0:
+            assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestBitVerify:

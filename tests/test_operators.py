@@ -195,9 +195,7 @@ class TestApplyExpr:
     )
     def test_halted_term_passes_through_unchanged(self, op):
         start = BasisState(register=3, mem={0: 1})
-        live, halted = split_status(
-            product(op, Bra()), unit(start), env={"step": Raise(Mem(0))}, fuel_budget=0
-        )
+        live, halted = split_status(product(op, Bra()), unit(start), fuel_budget=0)
         assert live == [] and halted == [(1, start)]
 
     def test_sum_after_bra_does_not_duplicate_halted_terms(self):
@@ -256,14 +254,15 @@ class TestRecursion:
         with pytest.raises(FuelExhausted):
             apply_expr(Define("loop", body), unit(BasisState()), fuel_budget=3)
 
+    def test_scaled_reentry_scales_the_reentered_terms(self):
+        spend = product(RecursiveRef("loop"), SetValue(FUEL, Num(FUEL) - 1))
+        body = GuardedPower(scaled(2, spend), Theta(Num(FUEL) - 1))
+        out = apply_expr(Define("loop", body), unit(BasisState(fuel=2)))
+        assert out.terms == ((4, BasisState(fuel=0)),)
+
     def test_unbound_label(self):
         with pytest.raises(UndefinedReference):
             apply_expr(RecursiveRef("nowhere"), unit(BasisState()))
-
-    def test_env_parameter_resolves_labels(self):
-        env = {"step": Raise(Mem(0))}
-        out = apply_expr(RecursiveRef("step"), unit(BasisState()), env=env, fuel_budget=1)
-        assert out.terms[0][1].mem_value(0) == 1
 
 
 class TestSexpr:

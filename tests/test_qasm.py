@@ -246,9 +246,9 @@ class TestCompileGuarded:
             run_algebraic(parse_program(TZR_PROGRAM), [0, 4], fuel=10)
 
     def test_nested_cut_does_not_trip_the_advance_branch(self):
-        # A deeper backward jump cut by fuel exhaustion returns its term
-        # through the body of the outer conditional jump with a nonzero
-        # register; the advance branch must not fire for it. The program
+        # A backward jump cut by fuel exhaustion parks its term, with a
+        # nonzero register, inside the loop of an outer conditional jump;
+        # the term must not advance past that jump and halt. The program
         # diverges classically, so the operator run must not halt.
         nested = parse_program(
             """
@@ -364,54 +364,47 @@ class TestOracleEquivalence:
         # classical halts must match the operator run exactly; classical
         # divergence or runtime errors must surface as machine errors in
         # the operator run too.
-        import sys
-
         from fockvm.errors import MachineError
 
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(30_000)
-        try:
-            rng = random.Random(555)
-            halted = 0
-            erring = 0
-            for _ in range(400):
-                lines = []
-                inputs = []
-                for _ in range(rng.randrange(3, 14)):
-                    roll = rng.random()
-                    if roll < 0.15:
-                        lines.append(f"LOAD #{rng.randrange(0, 12)}")
-                    elif roll < 0.3:
-                        lines.append(f"STORE {rng.choice(VARS)}")
-                    elif roll < 0.4:
-                        lines.append(f"INPUT {rng.choice(VARS)}")
-                        inputs.append(rng.randrange(0, 12))
-                    elif roll < 0.55:
-                        lines.append(f"{rng.choice(['ADD', 'SUBTRACT'])} #{rng.randrange(0, 4)}")
-                    elif roll < 0.75:
-                        lines.append(f"TZR {rng.choice(VARS)}")
-                    else:
-                        lines.append(f"TRA {rng.choice(VARS)}")
-                lines.append("HALT")
-                program = parse_program("\n".join(lines) + "\n")
-                try:
-                    reference = interpret(program, inputs, step_limit=200)
-                except MachineError as classical_error:
-                    erring += 1
-                    with pytest.raises(MachineError):
-                        run_algebraic(program, inputs, fuel=250)
-                    continue
-                halted += 1
-                amp, got = run_algebraic(program, inputs, fuel=250).sole()
-                want = reference.sole()[1]
-                assert got.register == want.register
-                assert got.mem == want.mem
-                assert got.output == want.output
-                assert got.pc == want.pc
-                assert abs(abs(amp) - 1) <= 1e-12
-            assert halted >= 20 and erring >= 20
-        finally:
-            sys.setrecursionlimit(old_limit)
+        rng = random.Random(555)
+        halted = 0
+        erring = 0
+        for _ in range(400):
+            lines = []
+            inputs = []
+            for _ in range(rng.randrange(3, 14)):
+                roll = rng.random()
+                if roll < 0.15:
+                    lines.append(f"LOAD #{rng.randrange(0, 12)}")
+                elif roll < 0.3:
+                    lines.append(f"STORE {rng.choice(VARS)}")
+                elif roll < 0.4:
+                    lines.append(f"INPUT {rng.choice(VARS)}")
+                    inputs.append(rng.randrange(0, 12))
+                elif roll < 0.55:
+                    lines.append(f"{rng.choice(['ADD', 'SUBTRACT'])} #{rng.randrange(0, 4)}")
+                elif roll < 0.75:
+                    lines.append(f"TZR {rng.choice(VARS)}")
+                else:
+                    lines.append(f"TRA {rng.choice(VARS)}")
+            lines.append("HALT")
+            program = parse_program("\n".join(lines) + "\n")
+            try:
+                reference = interpret(program, inputs, step_limit=200)
+            except MachineError as classical_error:
+                erring += 1
+                with pytest.raises(MachineError):
+                    run_algebraic(program, inputs, fuel=250)
+                continue
+            halted += 1
+            amp, got = run_algebraic(program, inputs, fuel=250).sole()
+            want = reference.sole()[1]
+            assert got.register == want.register
+            assert got.mem == want.mem
+            assert got.output == want.output
+            assert got.pc == want.pc
+            assert abs(abs(amp) - 1) <= 1e-12
+        assert halted >= 20 and erring >= 20
 
 
 COUNTING_LOOP = """
@@ -433,21 +426,56 @@ HALT
 """
 
 
-class TestRecursionCeiling:
-    def test_counting_loop_runs_150_iterations_at_the_default_limit(self):
-        # Re-entry still recurses in Python; the loop must stay well inside
-        # the default recursion limit, so state updates may add no frames
-        # at the deepest point of a re-entry chain.
+NESTED_JUMPS = """
+; inputs 3, 9: TZR t1 jumps back to step 3 once, TZR t7 back to step 9 once
+INPUT t1
+INPUT t7
+LOAD f
+STORE g
+LOAD #1
+STORE f
+LOAD g
+TZR t1
+LOAD h
+ADD #1
+STORE h
+SUBTRACT #1
+TZR t7
+HALT
+"""
+
+
+def assert_equals_interpret(program, inputs, fuel):
+    amp, got = run_algebraic(program, inputs, fuel=fuel).sole()
+    want = interpret(program, inputs).sole()[1]
+    assert got.register == want.register
+    assert got.mem == want.mem
+    assert got.input == want.input
+    assert got.output == want.output
+    assert abs(abs(amp) - 1) <= 1e-12
+
+
+class TestFuel:
+    """A run allows exactly ``fuel`` backward jumps and has no other depth limit."""
+
+    def test_nested_jumps_spend_one_fuel_unit_each(self):
+        # With fuel 1 the jump back from step 13 finds no fuel, so the term
+        # stalls at step 9. It must not run on through steps 9-14 of the
+        # pass that made the first jump, which would halt it.
+        program = parse_program(NESTED_JUMPS)
+        with pytest.raises(FuelExhausted):
+            run_algebraic(program, [3, 9], fuel=1)
+        assert_equals_interpret(program, [3, 9], fuel=2)
+
+    @pytest.mark.parametrize("fuel", [1000, 1001])
+    def test_counting_loop_of_1000_iterations_equals_interpret(self, fuel):
         program = parse_program(COUNTING_LOOP)
         assert len(program.instructions) == 14
-        inputs = [150, 4, 13]
-        amp, got = run_algebraic(program, inputs, fuel=151).sole()
-        want = interpret(program, inputs).sole()[1]
-        assert got.register == want.register
-        assert got.mem == want.mem
-        assert got.input == want.input
-        assert got.output == want.output == (150 * 151 // 2,)
-        assert abs(abs(amp) - 1) <= 1e-12
+        assert_equals_interpret(program, [1000, 4, 13], fuel)
+
+    def test_counting_loop_one_fuel_unit_short(self):
+        with pytest.raises(FuelExhausted):
+            run_algebraic(parse_program(COUNTING_LOOP), [1000, 4, 13], fuel=999)
 
 
 class TestRunSuperposed:

@@ -21,6 +21,7 @@ from fockvm.qcc import (
     HaltStmt,
     IfZeroGoto,
     InputStmt,
+    MAX_EXPR_DEPTH,
     LabelStmt,
     Lit,
     OutputStmt,
@@ -147,6 +148,54 @@ class TestParse:
     def test_shift_literal_only(self):
         with pytest.raises(ParseError):
             parse_c("a = b << c;")
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("b - c - d", Binary("-", Binary("-", Var("b"), Var("c")), Var("d"))),
+            ("b / c * d", Binary("*", Binary("/", Var("b"), Var("c")), Var("d"))),
+            ("b | c & d", Binary("|", Var("b"), Binary("&", Var("c"), Var("d")))),
+            ("b & c | d", Binary("|", Binary("&", Var("b"), Var("c")), Var("d"))),
+            ("b + c << 1", Shift(Binary("+", Var("b"), Var("c")), 1)),
+            ("b << 1 >> 2", Shift(Shift(Var("b"), 1), -2)),
+            ("b | c << 1", Binary("|", Var("b"), Shift(Var("c"), 1))),
+            ("~b * c", Binary("*", BitNot(Var("b")), Var("c"))),
+            ("(b | c) * d", Binary("*", Binary("|", Var("b"), Var("c")), Var("d"))),
+        ],
+    )
+    def test_operator_levels(self, source, expected):
+        [stmt] = parse_c(f"a = {source};").statements
+        assert stmt.expr == expected
+
+    @pytest.mark.parametrize("source", ["a = b << 1 + c;", "a = b << 1 * c;"])
+    def test_nothing_tighter_than_a_shift_follows_it(self, source):
+        with pytest.raises(ParseError):
+            parse_c(source)
+
+
+def _deep_sources(depth):
+    """Expressions ``depth`` levels deep; the right-nested one, which adds
+    two levels per step, rounds an even depth down."""
+    return {
+        "sum": "+".join(["b"] * depth),
+        "parentheses": "(" * (depth - 1) + "b" + ")" * (depth - 1),
+        "bit-nots": "~" * (depth - 1) + "b",
+        "right-nested": "b+(" * ((depth - 1) // 2) + "b" + ")" * ((depth - 1) // 2),
+    }
+
+
+class TestExpressionDepth:
+    @pytest.mark.parametrize("shape", list(_deep_sources(3)))
+    def test_deepest_allowed_expression_parses_and_lowers(self, shape):
+        source = f"input(b);\na = {_deep_sources(MAX_EXPR_DEPTH)[shape]};\noutput(a);\nhalt;\n"
+        program = compile_c(source)
+        assert run_algebraic(program, [1]).sole()[1].output == interpret(program, [1]).sole()[1].output
+
+    @pytest.mark.parametrize("shape", list(_deep_sources(3)))
+    def test_one_level_deeper_is_a_parse_error(self, shape):
+        source = _deep_sources(MAX_EXPR_DEPTH + 1)[shape]
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_EXPR_DEPTH} levels"):
+            parse_c(f"a = {source};")
 
 
 class TestLowering:
