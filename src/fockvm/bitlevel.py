@@ -8,8 +8,10 @@ register first and then modes ascending; without an ordering the
 anticommutation relations cannot hold at all. Signed amplitudes are
 reported as computed; they cancel in single-program probabilities.
 
-There is no bit-level text format: programs are built as operator trees
-through this module. The closed polynomial forms of the basic instructions
+Bit programs are ordinary operator expressions of :mod:`fockvm.operators`
+whose leaves are ``BRaise``, ``BLower`` and ``BNumber``; ``+``, ``-`` and
+``*`` build them, and the word-level evaluator runs them. There is no
+bit-level text format. The closed polynomial forms of the basic instructions
 (clear, copy, load, store, add, subtract, multiply) are provided along with
 an exhaustive value-semantics checker.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .operators import EvalStats, Identity, OperatorExpr, Primitive, _dispatch
 from .state import combine
 
 #: Mode index of the one-bit register in the canonical ordering.
@@ -72,133 +75,54 @@ class BitBasisState:
         return self.register + sum(self.bits[:mode])
 
 
-class FermiOp:
-    """Base class for bit-level operator trees."""
-
-    def __add__(self, other):
-        return FSum((self, _as_op(other)))
-
-    def __radd__(self, other):
-        return FSum((_as_op(other), self))
-
-    def __sub__(self, other):
-        return FSum((self, FScalarMul(-1.0 + 0j, _as_op(other))))
-
-    def __rsub__(self, other):
-        return FSum((_as_op(other), FScalarMul(-1.0 + 0j, self)))
-
-    def __mul__(self, other):
-        return FProduct((self, _as_op(other)))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return FScalarMul(complex(other), self)
-        return FProduct((_as_op(other), self))
+def _sign(state: BitBasisState, mode: int) -> float:
+    return -1.0 if state.parity_before(mode) % 2 else 1.0
 
 
 @dataclass(frozen=True)
-class FIdentity(FermiOp):
-    pass
-
-
-@dataclass(frozen=True)
-class BRaise(FermiOp):
+class BRaise(Primitive):
     mode: int
 
+    def act(self, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
+        if state.occupancy(self.mode):
+            return []
+        return [(_sign(state, self.mode), state.flipped(self.mode))]
+
 
 @dataclass(frozen=True)
-class BLower(FermiOp):
+class BLower(Primitive):
     mode: int
 
+    def act(self, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
+        if not state.occupancy(self.mode):
+            return []
+        return [(_sign(state, self.mode), state.flipped(self.mode))]
+
 
 @dataclass(frozen=True)
-class BNumber(FermiOp):
+class BNumber(Primitive):
     mode: int
 
-
-@dataclass(frozen=True)
-class FScalarMul(FermiOp):
-    scalar: complex
-    expr: FermiOp
+    def act(self, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
+        return [(1.0, state)] if state.occupancy(self.mode) else []
 
 
-@dataclass(frozen=True)
-class FSum(FermiOp):
-    terms: tuple[FermiOp, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("sum requires at least one term")
+ONE = Identity()
 
 
-@dataclass(frozen=True)
-class FProduct(FermiOp):
-    """Right-to-left product, like the word-level operator trees."""
-
-    factors: tuple[FermiOp, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
-            raise ValueError("product requires at least one factor")
-
-
-ONE = FIdentity()
-
-
-def _as_op(value) -> FermiOp:
-    if isinstance(value, FermiOp):
-        return value
-    if value == 1:
-        return ONE
-    if isinstance(value, (int, float, complex)):
-        return FScalarMul(complex(value), ONE)
-    raise TypeError(f"cannot use {value!r} as a bit operator")
-
-
-def apply_fermi(op: FermiOp, state: BitBasisState) -> list[tuple[complex, BitBasisState]]:
-    """Apply a bit operator tree to one basis state.
+def apply_fermi(op: OperatorExpr, state: BitBasisState) -> list[tuple[complex, BitBasisState]]:
+    """Apply a bit operator expression to one basis state.
 
     Returns merged (amplitude, state) terms; an empty list means the state
     was annihilated. Amplitudes are exact (signs and small integers only).
     """
-    return combine(_apply(op, [(1.0 + 0j, state)]), _EXACT_ZEROS_ONLY)
+    live = _dispatch(op, [(1.0 + 0j, state)], {}, 0, _EXACT_ZEROS_ONLY, EvalStats(), [])
+    return combine(live, _EXACT_ZEROS_ONLY)
 
 
-def _apply(
-    op: FermiOp, terms: list[tuple[complex, BitBasisState]]
-) -> list[tuple[complex, BitBasisState]]:
-    if isinstance(op, FIdentity):
-        return terms
-    if isinstance(op, BRaise):
-        out = []
-        for amp, state in terms:
-            if state.occupancy(op.mode) == 0:
-                sign = -1.0 if state.parity_before(op.mode) % 2 else 1.0
-                out.append((amp * sign, state.flipped(op.mode)))
-        return out
-    if isinstance(op, BLower):
-        out = []
-        for amp, state in terms:
-            if state.occupancy(op.mode) == 1:
-                sign = -1.0 if state.parity_before(op.mode) % 2 else 1.0
-                out.append((amp * sign, state.flipped(op.mode)))
-        return out
-    if isinstance(op, BNumber):
-        return [(amp, state) for amp, state in terms if state.occupancy(op.mode) == 1]
-    if isinstance(op, FScalarMul):
-        return [(op.scalar * amp, state) for amp, state in _apply(op.expr, terms)]
-    if isinstance(op, FSum):
-        out = []
-        for branch in op.terms:
-            out.extend(_apply(branch, terms))
-        return combine(out, _EXACT_ZEROS_ONLY)
-    if isinstance(op, FProduct):
-        for factor in reversed(op.factors):
-            terms = combine(_apply(factor, terms), _EXACT_ZEROS_ONLY)
-        return terms
-    raise TypeError(f"not a bit operator: {op!r}")
+def _then(first: Primitive, second: Primitive, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
+    """The leaf product ``second * first`` on one basis state, unmerged."""
+    return [(f * g, image) for f, mid in first.act(state) for g, image in second.act(mid)]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +131,7 @@ def _apply(
 SIMPLIFIED_KINDS = ("clear", "copy", "load", "store", "add", "subtract", "multiply")
 
 
-def simplified_form(kind: str, m: int = 0, n: int | None = None) -> FermiOp:
+def simplified_form(kind: str, m: int = 0, n: int | None = None) -> OperatorExpr:
     """Closed polynomial form of a bit-level instruction.
 
     ``m`` is the memory mode the instruction addresses; ``copy`` also takes
@@ -335,13 +259,9 @@ def anticommutator_is_delta(i: int, j: int, mode_count: int) -> bool:
     """Check {b_i, b_j+} = delta_ij exactly on every basis state."""
     delta = 1.0 if i == j else 0.0
     for state in all_states(mode_count):
-        forward = _apply(BRaise(j), [(1.0 + 0j, state)])
-        forward = _apply(BLower(i), forward)
-        backward = _apply(BLower(i), [(1.0 + 0j, state)])
-        backward = _apply(BRaise(j), backward)
-        combined = combine(forward + backward, _EXACT_ZEROS_ONLY)
+        both = _then(BRaise(j), BLower(i), state) + _then(BLower(i), BRaise(j), state)
         expected = [(complex(delta), state)] if delta else []
-        if combined != expected:
+        if combine(both, _EXACT_ZEROS_ONLY) != expected:
             return False
     return True
 
@@ -350,9 +270,8 @@ def anticommutator_vanishes(i: int, j: int, mode_count: int, daggered: bool) -> 
     """Check {b_i, b_j} = 0 (or the daggered pair) on every basis state."""
     op = BRaise if daggered else BLower
     for state in all_states(mode_count):
-        one = _apply(op(i), _apply(op(j), [(1.0 + 0j, state)]))
-        two = _apply(op(j), _apply(op(i), [(1.0 + 0j, state)]))
-        if combine(one + two, _EXACT_ZEROS_ONLY):
+        both = _then(op(j), op(i), state) + _then(op(i), op(j), state)
+        if combine(both, _EXACT_ZEROS_ONLY):
             return False
     return True
 
@@ -360,9 +279,4 @@ def anticommutator_vanishes(i: int, j: int, mode_count: int, daggered: bool) -> 
 def number_is_idempotent(mode: int, mode_count: int) -> bool:
     """The identity the closed forms rely on: N and N^2 agree pointwise."""
     op = BNumber(mode)
-    for state in all_states(mode_count):
-        once = apply_fermi(op, state)
-        twice = apply_fermi(FProduct((op, op)), state)
-        if once != twice:
-            return False
-    return True
+    return all(op.act(state) == _then(op, op, state) for state in all_states(mode_count))

@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops "--" from a value before converting it, so before
+        # Python 3.12 "--flag=--" parsed as an empty list instead of failing.
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")

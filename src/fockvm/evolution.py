@@ -1,6 +1,7 @@
 """Hamiltonian time evolution by truncated exponential power series.
 
-Evolution computes sum_{q=0}^{order} (-i t)^q / q! H^q |s0> and applies no
+Evolution computes sum_{q=0}^{order} (-i t)^q / q! H^q |s0>, with the
+coefficient carried as a running product so any order works, and applies no
 normalization: the example Hamiltonians are not Hermitian, so evolution is
 not unitary, and probabilities should be read through the rule-style
 renormalization in :func:`fockvm.state.probabilities`. A dense-matrix
@@ -14,11 +15,10 @@ of silently dropping amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
-from .errors import NonFiniteAmplitude, StateSpaceTooLarge, TruncationOverflow
+from .errors import StateSpaceTooLarge, TruncationOverflow
 from .isa import Instruction, Opcode, address, immediate
 from .operators import (
     REGISTER,
@@ -147,13 +147,11 @@ def evolve(h: Hamiltonian, s0: Superposition, t: float, order: int) -> Superposi
         return merge(s0.terms)
     terms = list(s0.terms)
     current = s0
+    coeff = 1.0 + 0j
     for q in range(1, order + 1):
         _check_boundary(h, current)
         current = apply_expr(h.expr, current)
-        try:
-            coeff = (-1j * t) ** q / factorial(q)
-        except OverflowError:
-            raise NonFiniteAmplitude(f"series coefficient of order {q} overflows at t={t!r}") from None
+        coeff *= -1j * t / q
         terms.extend((coeff * amp, state) for amp, state in current.terms)
     return merge(terms)
 
@@ -210,7 +208,9 @@ def dense_oracle_evolve(
         vec[index[state]] += amp
     out = vec.copy()
     power = vec
+    coeff = 1.0 + 0j
     for q in range(1, order + 1):
         power = matrix @ power
-        out = out + ((-1j * t) ** q / factorial(q)) * power
+        coeff *= -1j * t / q
+        out = out + coeff * power
     return merge((complex(out[i]), basis[i]) for i in range(dim))

@@ -236,18 +236,19 @@ def derivation_paths(
     computation sums amplitudes without materializing paths.
     """
     found: list[DerivationPath] = []
-
-    def walk(s: str, steps: tuple[tuple[int, int], ...], amp: complex) -> None:
-        if len(steps) >= max_steps:
-            return
-        for succ in step_successors(grammar, s, position=position):
-            next_amp = amp * succ.weight
-            path = steps + ((succ.position, succ.index),)
-            if succ.string == target:
-                found.append(DerivationPath(path, next_amp))
-            walk(succ.string, path, next_amp)
-
-    walk(source, (), 1.0 + 0j)
+    # Depth first, successors pushed in reverse: each successor and its
+    # whole subtree come before the next successor.
+    stack: list[tuple[str, tuple[tuple[int, int], ...], complex]] = [(source, (), 1.0 + 0j)]
+    while stack:
+        s, steps, amp = stack.pop()
+        if steps and s == target:
+            found.append(DerivationPath(steps, amp))
+        if len(steps) < max_steps:
+            successors = step_successors(grammar, s, position=position)
+            stack.extend(
+                (succ.string, steps + ((succ.position, succ.index),), amp * succ.weight)
+                for succ in reversed(successors)
+            )
     return found
 
 

@@ -28,6 +28,12 @@ primitives acting on machine basis states:
   further operator, ``Sum`` included; only an enclosing ``ScalarMul``
   still scales it.
 
+Every leaf is a ``Primitive``, defined by its action on one basis state.
+The bit-level machine (:mod:`fockvm.bitlevel`) adds three more leaves over
+its own state type; its programs are ordinary operator expressions, and the
+one evaluator here runs both. ``+``, ``-`` and ``*`` build sums, products
+and scalar multiples.
+
 Products apply right to left, sums distribute and merge, and guarded
 exponents are evaluated per basis term, so superposition terms evolve
 independently. Everything here is pure: evaluation returns new states.
@@ -233,7 +239,42 @@ def eval_exponent(expr: ExponentExpr, state: BasisState) -> int:
 
 
 class OperatorExpr:
-    """Base class for operator expression tree nodes."""
+    """Base class for operator expression tree nodes.
+
+    ``+``, ``-`` and ``*`` build ``Sum``, ``Product`` and ``ScalarMul``
+    nodes, and a number stands for that multiple of the identity, so
+    closed forms read like the paper's formulas, e.g.
+    ``1 + (Lower(loc) - 1) * NumberOp(loc)``.
+    """
+
+    def __add__(self, other):
+        return Sum((self, _as_operator(other)))
+
+    def __radd__(self, other):
+        return Sum((_as_operator(other), self))
+
+    def __sub__(self, other):
+        return Sum((self, ScalarMul(-1.0 + 0j, _as_operator(other))))
+
+    def __rsub__(self, other):
+        return Sum((_as_operator(other), ScalarMul(-1.0 + 0j, self)))
+
+    def __mul__(self, other):
+        return Product((self, _as_operator(other)))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return ScalarMul(complex(other), self)
+        return Product((_as_operator(other), self))
+
+
+class Primitive(OperatorExpr):
+    """A leaf operator, defined by its action on one basis state."""
+
+    def act(self, state) -> list[tuple[complex, object]]:
+        """The (factor, image) pairs of this leaf on ``state``; an empty
+        list means the state is annihilated."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -242,27 +283,43 @@ class Identity(OperatorExpr):
 
 
 @dataclass(frozen=True)
-class Raise(OperatorExpr):
+class Raise(Primitive):
     loc: Location
+
+    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+        v = location_value(state, self.loc)
+        return [(complex(math.sqrt(v + 1)), with_location(state, self.loc, v + 1))]
 
 
 @dataclass(frozen=True)
-class Lower(OperatorExpr):
+class Lower(Primitive):
     loc: Location
+
+    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+        v = location_value(state, self.loc)
+        if v == 0:
+            return []
+        return [(complex(math.sqrt(v)), with_location(state, self.loc, v - 1))]
 
 
 @dataclass(frozen=True)
-class NumberOp(OperatorExpr):
+class NumberOp(Primitive):
     loc: Location
+
+    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+        return [(complex(location_value(state, self.loc)), state)]
 
 
 @dataclass(frozen=True)
-class Clear(OperatorExpr):
+class Clear(Primitive):
     loc: Location
+
+    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+        return [(1.0 + 0j, with_location(state, self.loc, 0))]
 
 
 @dataclass(frozen=True)
-class Copy(OperatorExpr):
+class Copy(Primitive):
     """Copy the source value onto the destination, which must hold zero.
 
     ``Copy(dst, IN)`` consumes the input head; ``Copy(OUT, src)`` appends to
@@ -272,11 +329,33 @@ class Copy(OperatorExpr):
     dst: Location
     src: Location
 
+    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+        dst, src = self.dst, self.src
+        if dst.kind == "out":
+            if src.kind in {"in", "out"}:
+                raise UnsupportedLocation("output copy source must be a storage location")
+            return [(1.0 + 0j, state.append_output(location_value(state, src)))]
+        if dst.kind == "in" or src.kind == "out":
+            raise UnsupportedLocation("streams support only input reads and output appends")
+        if location_value(state, dst) != 0:
+            raise CopyOntoNonzero(
+                f"copy onto nonzero destination {dst} (value {location_value(state, dst)})"
+            )
+        if src.kind == "in":
+            value, state = state.pop_input()
+        else:
+            value = location_value(state, src)
+        return [(1.0 + 0j, with_location(state, dst, value))]
+
 
 @dataclass(frozen=True)
 class ScalarMul(OperatorExpr):
     scalar: complex
     expr: OperatorExpr
+
+    def __post_init__(self) -> None:
+        if not cmath.isfinite(self.scalar):
+            raise ValueError(f"non-finite scalar {self.scalar!r}")
 
 
 @dataclass(frozen=True)
@@ -368,6 +447,16 @@ def scaled(scalar: complex, expr: OperatorExpr) -> OperatorExpr:
     return ScalarMul(complex(scalar), expr)
 
 
+def _as_operator(value: Union[complex, OperatorExpr]) -> OperatorExpr:
+    if isinstance(value, OperatorExpr):
+        return value
+    if value == 1:
+        return Identity()
+    if isinstance(value, (int, float, complex)):
+        return ScalarMul(complex(value), Identity())
+    raise TypeError(f"cannot use {value!r} as an operator")
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -386,45 +475,15 @@ class EvalStats:
         self.reentries = 0
 
 
-def apply_primitive(op: OperatorExpr, state: BasisState) -> list[tuple[complex, BasisState]]:
+def apply_primitive(op: Primitive, state: BasisState) -> list[tuple[complex, BasisState]]:
     """Action of a single primitive on one basis state.
 
     Returns a list of (amplitude, state) results; an empty list means the
     state was annihilated.
     """
-    if isinstance(op, Raise):
-        v = location_value(state, op.loc)
-        return [(complex(math.sqrt(v + 1)), with_location(state, op.loc, v + 1))]
-    if isinstance(op, Lower):
-        v = location_value(state, op.loc)
-        if v == 0:
-            return []
-        return [(complex(math.sqrt(v)), with_location(state, op.loc, v - 1))]
-    if isinstance(op, NumberOp):
-        return [(complex(location_value(state, op.loc)), state)]
-    if isinstance(op, Clear):
-        return [(1.0 + 0j, with_location(state, op.loc, 0))]
-    if isinstance(op, Copy):
-        return [(1.0 + 0j, _copy_action(state, op.dst, op.src))]
-    raise TypeError(f"not a primitive operator: {op!r}")
-
-
-def _copy_action(state: BasisState, dst: Location, src: Location) -> BasisState:
-    if dst.kind == "out":
-        if src.kind in {"in", "out"}:
-            raise UnsupportedLocation("output copy source must be a storage location")
-        return state.append_output(location_value(state, src))
-    if dst.kind == "in" or src.kind == "out":
-        raise UnsupportedLocation("streams support only input reads and output appends")
-    if location_value(state, dst) != 0:
-        raise CopyOntoNonzero(
-            f"copy onto nonzero destination {dst} (value {location_value(state, dst)})"
-        )
-    if src.kind == "in":
-        value, state = state.pop_input()
-    else:
-        value = location_value(state, src)
-    return with_location(state, dst, value)
+    if not isinstance(op, Primitive):
+        raise TypeError(f"not a primitive operator: {op!r}")
+    return op.act(state)
 
 
 def _dispatch(
@@ -446,22 +505,21 @@ def _dispatch(
     if isinstance(expr, Identity):
         return terms
 
-    if isinstance(expr, (Raise, Lower, NumberOp, Clear, Copy)):
+    if isinstance(expr, Primitive):
         stats.primitive_ops += len(terms)
         return [
             (amp * factor, image)
             for amp, state in terms
-            for factor, image in apply_primitive(expr, state)
+            for factor, image in expr.act(state)
         ]
 
     if isinstance(expr, ScalarMul):
-        if not cmath.isfinite(expr.scalar):
-            raise ValueError(f"non-finite scalar {expr.scalar!r}")
         # Terms that halt or re-enter inside are scaled where they were put.
         marks = [(pending, len(pending)) for pending in (halted, *env.values())]
         live = _dispatch(expr.expr, terms, env, budget, tol, stats, halted)
         for pending, mark in marks:
-            pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
+            if len(pending) > mark:
+                pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
         return [(expr.scalar * amp, state) for amp, state in live]
 
     if isinstance(expr, Product):

@@ -1,4 +1,16 @@
+"""Bit-level machine tests.
+
+``tests/golden/closed-form-amplitudes.json`` pins the exact (amplitude,
+state) list of every closed form on every 3-mode basis state, signed zeros
+included. To re-record it after an intended change, run from the repository
+root::
+
+    PYTHONPATH=src python tests/test_bitlevel.py
+"""
+
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +20,6 @@ from fockvm.bitlevel import (
     BNumber,
     BRaise,
     BitBasisState,
-    FProduct,
-    FScalarMul,
     ONE,
     SIMPLIFIED_KINDS,
     all_states,
@@ -20,6 +30,7 @@ from fockvm.bitlevel import (
     simplified_form,
     verify_bit_semantics,
 )
+from fockvm.operators import Identity, Product, ScalarMul, Sum
 
 
 class TestStates:
@@ -65,11 +76,20 @@ class TestApplyFermi:
 
     def test_tiny_amplitudes_are_kept(self):
         s = BitBasisState(0, (1, 0))
-        assert apply_fermi(FScalarMul(1e-13, ONE), s) == [(1e-13 + 0j, s)]
+        assert apply_fermi(1e-13 * ONE, s) == [(1e-13 + 0j, s)]
 
     def test_difference_of_equal_operators_annihilates(self):
         op = BRaise(0) - BRaise(0)
         assert all(apply_fermi(op, s) == [] for s in all_states(3))
+
+
+    def test_closed_forms_are_operator_expressions(self):
+        spelled = Sum((
+            Identity(),
+            Product((Sum((BLower(0), ScalarMul(-1.0 + 0j, Identity()))), BNumber(0))),
+        ))
+        assert ONE + (BLower(0) - ONE) * BNumber(0) == spelled
+        assert simplified_form("clear", m=0) == spelled
 
 
 class TestRelations:
@@ -90,8 +110,8 @@ class TestRelations:
     def test_nilpotency(self):
         for state in all_states(3):
             for mode in range(3):
-                assert apply_fermi(FProduct((BRaise(mode), BRaise(mode))), state) == []
-                assert apply_fermi(FProduct((BLower(mode), BLower(mode))), state) == []
+                assert apply_fermi(BRaise(mode) * BRaise(mode), state) == []
+                assert apply_fermi(BLower(mode) * BLower(mode), state) == []
 
     def test_number_idempotent(self):
         assert all(number_is_idempotent(m, 4) for m in range(4))
@@ -150,3 +170,32 @@ class TestVerification:
     def test_mode_bound(self):
         with pytest.raises(ValueError):
             verify_bit_semantics("clear", mode_count=9)
+
+
+AMPLITUDES = Path(__file__).resolve().parent / "golden" / "closed-form-amplitudes.json"
+
+
+def _closed_form_table() -> dict[str, list[list[object]]]:
+    """``"kind m n register bits"`` -> ``[repr(amplitude), register, bits]``
+    per result term, over every closed form addressing modes 0-2."""
+    table = {}
+    for kind in SIMPLIFIED_KINDS:
+        for m in range(3):
+            for n in [k for k in range(3) if k != m] if kind == "copy" else [None]:
+                op = simplified_form(kind, m, n)
+                for state in all_states(3):
+                    key = f"{kind} {m} {n} {state.register} {''.join(map(str, state.bits))}"
+                    table[key] = [
+                        [repr(amp), image.register, "".join(map(str, image.bits))]
+                        for amp, image in apply_fermi(op, state)
+                    ]
+    return table
+
+
+def test_closed_form_amplitudes_are_pinned():
+    assert _closed_form_table() == json.loads(AMPLITUDES.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    rows = [f"  {json.dumps(key)}: {json.dumps(terms)}" for key, terms in _closed_form_table().items()]
+    AMPLITUDES.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")

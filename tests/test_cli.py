@@ -116,6 +116,10 @@ class TestExitCodes:
             ("grammar", "prob", "data/xy.g", "--from", "xy", "--to", "xxy", "--position", "-1"),
             ("grammar", "derive", "data/interference.g", "--mode", "pass"),
             ("grammar", "prob", "data/interference.g", "--to", "x", "--mode", "pass"),
+            ("evolve", "--hamiltonian", "hop", "--modes=--", "--state", "data/one_quantum.state"),
+            ("evolve", "--hamiltonian=--", "--modes", "4", "--state", "data/one_quantum.state"),
+            ("sample", "data/one_quantum.state", "--count=--"),
+            ("run", "data/add.qasm", "--input=--"),
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -281,6 +285,14 @@ class TestEvolveSample:
         }
         assert amps["1"][1] == pytest.approx(-0.1)
 
+    def test_evolve_at_order_200(self, capsys, monkeypatch, data_dir):
+        monkeypatch.chdir(data_dir.parent)
+        code, out, err = run_cli(
+            capsys, "evolve", "--hamiltonian", "adder", "--modes", "4",
+            "--state", "data/one_quantum.state", "-t", "0.1", "--order", "200",
+        )
+        assert code == 0 and out and err == ""
+
     def test_sample_deterministic(self, capsys, data_dir):
         args = (
             "sample",
@@ -405,7 +417,9 @@ class TestCountingLoop:
 # Generated input files, one strategy per file format. Each mixes lines
 # built from the format's grammar with lines of loose tokens. Integers stay
 # at most 10^3, and runs get small step, fuel and window limits, so the test
-# probes parsing and validation rather than resource limits.
+# probes parsing and validation rather than resource limits. Numeric flags
+# get generated values too: integers and floats in a small range around the
+# valid one, and malformed text.
 _INTS = st.integers(-1, 1000).map(str)
 
 
@@ -494,34 +508,53 @@ _STATE = _mostly(
     st.lists(st.sampled_from(["[", "]", "{", "}", ",", ":", '"amplitude"', '"mem"', '"0"',
                               "[1, 0]", "NaN", "Infinity", "1e400", "null"]), max_size=12).map(" ".join),
 )
-_RUN = ("--input", "1,2,3", "--fuel", "2", "--step-limit", "30")
+_MALFORMED = st.sampled_from(
+    ["", "x", "1.5", "1e2", "1e400", "-1e400", "nan", "inf", "-inf", "0x10", "1_0", " 3 ", "+2", "-0", "--", "٣"]
+)
+
+
+def _flag_value(low, high):
+    """An integer or float in ``[low, high]``, or malformed text."""
+    return st.one_of(
+        st.integers(low, high).map(str),
+        st.floats(low, high).map(str),
+        _MALFORMED,
+    )
+
+
+_FUEL = {"--fuel": _flag_value(-2, 12)}
+_RUN = ("--input", "1,2,3", "--step-limit", "30")
 _CONTRACT_CASES = {
     "assemble": (_QASM, ("assemble", "{}"), {}),
-    "run": (_QASM, ("run", "{}", *_RUN), {"--mode": ["interp", "algebraic"]}),
-    "compile": (_QASM, ("compile", "{}"), {"--form": ["sequential", "guarded"]}),
-    "qc compile": (_QC, ("qc", "compile", "{}", "--window", "4"), {"--emit": ["qasm", "opexpr"]}),
-    "qc run": (_QC, ("qc", "run", "{}", "--window", "4", *_RUN), {"--mode": ["interp", "algebraic"]}),
-    "grammar derive": (_GRAMMAR, ("grammar", "derive", "{}", "--steps", "2"), {"--mode": ["step", "pass"]}),
-    "grammar prob": (_GRAMMAR, ("grammar", "prob", "{}", "--to", "xy", "--max-steps", "2"), {"--mode": ["step", "pass"]}),
-    "sample": (_STATE, ("sample", "{}", "--count", "3"), {}),
-    "evolve --state": (_STATE, ("evolve", "--hamiltonian", "hop", "--modes", "4", "--order", "2", "--state", "{}"), {}),
+    "run": (_QASM, ("run", "{}", *_RUN), {"--mode": st.sampled_from(["interp", "algebraic"]), **_FUEL}),
+    "compile": (_QASM, ("compile", "{}"), {"--form": st.sampled_from(["sequential", "guarded"]), **_FUEL}),
+    "qc compile": (_QC, ("qc", "compile", "{}"), {"--emit": st.sampled_from(["qasm", "opexpr"]), "--window": _flag_value(-2, 8)}),
+    "qc run": (_QC, ("qc", "run", "{}", *_RUN),
+               {"--mode": st.sampled_from(["interp", "algebraic"]), "--window": _flag_value(-2, 8), **_FUEL}),
+    "grammar derive": (_GRAMMAR, ("grammar", "derive", "{}"),
+                       {"--mode": st.sampled_from(["step", "pass"]), "--steps": _flag_value(-2, 2)}),
+    "grammar prob": (_GRAMMAR, ("grammar", "prob", "{}", "--to", "xy", "--max-steps", "2"), {"--mode": st.sampled_from(["step", "pass"])}),
+    "sample": (_STATE, ("sample", "{}"), {"--count": _flag_value(-2, 50)}),
+    "evolve --state": (_STATE, ("evolve", "--hamiltonian", "hop", "--state", "{}"),
+                       {"--modes": _flag_value(-2, 8), "--order": _flag_value(-2, 6), "-t": _flag_value(-1e3, 1e3)}),
 }
 
 
 class TestCliContract:
-    """Every file a subcommand reads ends in exit 0, 2, 3 or 4, never a
-    traceback, and a nonzero exit prints exactly one diagnostic line."""
+    """Every file a subcommand reads, and every value of its numeric flags,
+    ends in exit 0, 2, 3 or 4, never a traceback, and a nonzero exit prints
+    exactly one diagnostic line."""
 
     @pytest.mark.parametrize("command", list(_CONTRACT_CASES))
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_generated_file_gives_a_documented_exit(self, capsys, tmp_path, command, data):
-        text_strategy, argv, choices = _CONTRACT_CASES[command]
+        text_strategy, argv, flags = _CONTRACT_CASES[command]
         path = tmp_path / "input"
         path.write_text(data.draw(text_strategy, label="file") + "\n")
         argv = [arg.format(path) for arg in argv]
-        for flag, values in choices.items():
-            argv += [flag, data.draw(st.sampled_from(values), label=flag)]
+        for flag, values in flags.items():
+            argv.append(f"{flag}={data.draw(values, label=flag)}")
         if data.draw(st.booleans(), label="--json"):
             argv.append("--json")
         code, _, err = run_cli(capsys, *argv)

@@ -138,6 +138,11 @@ class TestDenseOracle:
         assert dense_oracle_evolve(h, start, 0.7, 6) == start
         assert evolve(h, start, 0.7, 6) == start
 
+    def test_order_beyond_the_factorial_float_range(self):
+        h = build_adder_hamiltonian(4)
+        start = unit(BasisState(mem={0: 1}))
+        assert distance(evolve(h, start, 0.1, 200), dense_oracle_evolve(h, start, 0.1, 200)) <= 1e-12
+
     def test_state_space_bound(self):
         h = build_hop_hamiltonian(8)
         with pytest.raises(StateSpaceTooLarge):

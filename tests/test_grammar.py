@@ -319,6 +319,26 @@ class TestTransitionProbability:
         assert [p.steps for p in paths] == [((0, 0),), ((0, 1),)]
         assert [p.amplitude for p in paths] == [0.25, 0.75]
 
+    def test_derivation_paths_go_deeper_than_the_recursion_limit(self):
+        g = parse_grammar("start: S\nrule: S -> S\n")
+        paths = derivation_paths(g, "S", "S", 1200)
+        assert [len(p.steps) for p in paths] == list(range(1, 1201))
+
+    def test_derivation_paths_keep_depth_first_order(self):
+        # A successor's whole subtree comes before the next successor, so
+        # the longer path through "b" precedes the direct one.
+        g = Grammar("a", (Rule("a", "b", 1.0), Rule("a", "c", 1.0), Rule("b", "c", 1.0)))
+        paths = derivation_paths(g, "a", "c", 2)
+        assert [p.steps for p in paths] == [((0, 0), (0, 2)), ((0, 1),)]
+        g = Grammar("a", (Rule("a", "ab", 1.0), Rule("a", "b", 1.0), Rule("b", "a", 1.0)))
+        paths = derivation_paths(g, "a", "ab", 3)
+        assert [p.steps for p in paths] == [
+            ((0, 0),),
+            ((0, 0), (0, 1), (0, 2)),
+            ((0, 0), (1, 2), (1, 1)),
+            ((0, 1), (0, 2), (0, 0)),
+        ]
+
     @given(
         weights=st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4),
         steps=st.integers(1, 3),

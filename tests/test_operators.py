@@ -36,6 +36,7 @@ from fockvm.operators import (
     Raise,
     Product,
     RecursiveRef,
+    ScalarMul,
     SetValue,
     Sum,
     Theta,
@@ -100,6 +101,30 @@ class TestPrimitives:
             apply_primitive(Raise(IN), BasisState())
         with pytest.raises(UnsupportedLocation):
             apply_primitive(Clear(OUT), BasisState())
+
+
+    def test_apply_primitive_rejects_composites(self):
+        with pytest.raises(TypeError):
+            apply_primitive(product(Raise(Mem(0)), Lower(Mem(0))), BasisState())
+
+
+class TestOverloading:
+    def test_product(self):
+        assert Raise(Mem(1)) * Lower(Mem(0)) == product(Raise(Mem(1)), Lower(Mem(0)))
+
+    def test_numbers_are_multiples_of_the_identity(self):
+        loc = Mem(0)
+        assert 1 - NumberOp(loc) == Sum((Identity(), ScalarMul(-1.0 + 0j, NumberOp(loc))))
+        assert 0.5 * Raise(loc) == ScalarMul(0.5 + 0j, Raise(loc))
+        assert Raise(loc) + 2 == Sum((Raise(loc), ScalarMul(2.0 + 0j, Identity())))
+        with pytest.raises(TypeError):
+            Raise(loc) + "x"
+
+    def test_non_finite_scalar_fails_at_construction(self):
+        with pytest.raises(ValueError):
+            ScalarMul(float("nan"), Identity())
+        with pytest.raises(ValueError):
+            scaled(complex(0, float("inf")), Identity())
 
 
 class TestExponents:
