@@ -518,8 +518,7 @@ def _dispatch(
         marks = [(pending, len(pending)) for pending in (halted, *env.values())]
         live = _dispatch(expr.expr, terms, env, budget, tol, stats, halted)
         for pending, mark in marks:
-            if len(pending) > mark:
-                pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
+            pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
         return [(expr.scalar * amp, state) for amp, state in live]
 
     if isinstance(expr, Product):

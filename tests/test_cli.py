@@ -417,9 +417,7 @@ class TestCountingLoop:
 # Generated input files, one strategy per file format. Each mixes lines
 # built from the format's grammar with lines of loose tokens. Integers stay
 # at most 10^3, and runs get small step, fuel and window limits, so the test
-# probes parsing and validation rather than resource limits. Numeric flags
-# get generated values too: integers and floats in a small range around the
-# valid one, and malformed text.
+# probes parsing and validation rather than resource limits.
 _INTS = st.integers(-1, 1000).map(str)
 
 
@@ -508,8 +506,24 @@ _STATE = _mostly(
     st.lists(st.sampled_from(["[", "]", "{", "}", ",", ":", '"amplitude"', '"mem"', '"0"',
                               "[1, 0]", "NaN", "Infinity", "1e400", "null"]), max_size=12).map(" ".join),
 )
+_RUN = ("--input", "1,2,3", "--fuel", "2", "--step-limit", "30")
+_CONTRACT_CASES = {
+    "assemble": (_QASM, ("assemble", "{}"), {}),
+    "run": (_QASM, ("run", "{}", *_RUN), {"--mode": ["interp", "algebraic"]}),
+    "compile": (_QASM, ("compile", "{}"), {"--form": ["sequential", "guarded"]}),
+    "qc compile": (_QC, ("qc", "compile", "{}", "--window", "4"), {"--emit": ["qasm", "opexpr"]}),
+    "qc run": (_QC, ("qc", "run", "{}", "--window", "4", *_RUN), {"--mode": ["interp", "algebraic"]}),
+    "grammar derive": (_GRAMMAR, ("grammar", "derive", "{}", "--steps", "2"), {"--mode": ["step", "pass"]}),
+    "grammar prob": (_GRAMMAR, ("grammar", "prob", "{}", "--to", "xy", "--max-steps", "2"), {"--mode": ["step", "pass"]}),
+    "sample": (_STATE, ("sample", "{}", "--count", "3"), {}),
+    "evolve --state": (_STATE, ("evolve", "--hamiltonian", "hop", "--modes", "4", "--order", "2", "--state", "{}"), {}),
+}
+
+# Generated numeric flag values, each subcommand reading a valid file from
+# data/: integers and floats in a small range around the valid values, and
+# malformed text, passed as ``--flag=value`` so a value may start with "-".
 _MALFORMED = st.sampled_from(
-    ["", "x", "1.5", "1e2", "1e400", "-1e400", "nan", "inf", "-inf", "0x10", "1_0", " 3 ", "+2", "-0", "--", "٣"]
+    ["", "x", "1.5", "1e2", "1e400", "-1e400", "nan", "inf", "-inf", "0x10", "1_0", " 3 ", "+2", "-0", "--", "\u0663"]
 )
 
 
@@ -523,21 +537,25 @@ def _flag_value(low, high):
 
 
 _FUEL = {"--fuel": _flag_value(-2, 12)}
-_RUN = ("--input", "1,2,3", "--step-limit", "30")
-_CONTRACT_CASES = {
-    "assemble": (_QASM, ("assemble", "{}"), {}),
-    "run": (_QASM, ("run", "{}", *_RUN), {"--mode": st.sampled_from(["interp", "algebraic"]), **_FUEL}),
-    "compile": (_QASM, ("compile", "{}"), {"--form": st.sampled_from(["sequential", "guarded"]), **_FUEL}),
-    "qc compile": (_QC, ("qc", "compile", "{}"), {"--emit": st.sampled_from(["qasm", "opexpr"]), "--window": _flag_value(-2, 8)}),
-    "qc run": (_QC, ("qc", "run", "{}", *_RUN),
-               {"--mode": st.sampled_from(["interp", "algebraic"]), "--window": _flag_value(-2, 8), **_FUEL}),
-    "grammar derive": (_GRAMMAR, ("grammar", "derive", "{}"),
-                       {"--mode": st.sampled_from(["step", "pass"]), "--steps": _flag_value(-2, 2)}),
-    "grammar prob": (_GRAMMAR, ("grammar", "prob", "{}", "--to", "xy", "--max-steps", "2"), {"--mode": st.sampled_from(["step", "pass"])}),
-    "sample": (_STATE, ("sample", "{}"), {"--count": _flag_value(-2, 50)}),
-    "evolve --state": (_STATE, ("evolve", "--hamiltonian", "hop", "--state", "{}"),
+_WINDOW = {"--window": _flag_value(-2, 8)}
+_FLAG_CASES = {
+    "run": (("run", "{data}/add.qasm", "--input", "1,2,3", "--step-limit", "30"), _FUEL),
+    "compile": (("compile", "{data}/add.qasm"), _FUEL),
+    "qc compile": (("qc", "compile", "{data}/add.qc"), _WINDOW),
+    "qc run": (("qc", "run", "{data}/add.qc", "--input", "1,2,3", "--step-limit", "30"), {**_WINDOW, **_FUEL}),
+    "grammar derive": (("grammar", "derive", "{data}/coin.g"), {"--steps": _flag_value(-2, 2)}),
+    "sample": (("sample", "{data}/one_quantum.state"), {"--count": _flag_value(-2, 50)}),
+    "evolve --state": (("evolve", "--hamiltonian", "hop", "--state", "{data}/one_quantum.state"),
                        {"--modes": _flag_value(-2, 8), "--order": _flag_value(-2, 6), "-t": _flag_value(-1e3, 1e3)}),
 }
+
+
+def _assert_documented_exit(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestCliContract:
@@ -549,19 +567,27 @@ class TestCliContract:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_generated_file_gives_a_documented_exit(self, capsys, tmp_path, command, data):
-        text_strategy, argv, flags = _CONTRACT_CASES[command]
+        text_strategy, argv, choices = _CONTRACT_CASES[command]
         path = tmp_path / "input"
         path.write_text(data.draw(text_strategy, label="file") + "\n")
         argv = [arg.format(path) for arg in argv]
+        for flag, values in choices.items():
+            argv += [flag, data.draw(st.sampled_from(values), label=flag)]
+        if data.draw(st.booleans(), label="--json"):
+            argv.append("--json")
+        _assert_documented_exit(capsys, argv)
+
+    @pytest.mark.parametrize("command", list(_FLAG_CASES))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_flag_value_gives_a_documented_exit(self, capsys, data_dir, command, data):
+        argv, flags = _FLAG_CASES[command]
+        argv = [arg.format(data=data_dir) for arg in argv]
         for flag, values in flags.items():
             argv.append(f"{flag}={data.draw(values, label=flag)}")
         if data.draw(st.booleans(), label="--json"):
             argv.append("--json")
-        code, _, err = run_cli(capsys, *argv)
-        assert code in {0, 2, 3, 4}
-        assert "Traceback" not in err
-        if code != 0:
-            assert err.count("\n") == 1 and err.endswith("\n")
+        _assert_documented_exit(capsys, argv)
 
 
 class TestBitVerify:
