@@ -151,6 +151,8 @@ def evolve(h: Hamiltonian, s0: Superposition, t: float, order: int) -> Superposi
     for q in range(1, order + 1):
         _check_boundary(h, current)
         current = apply_expr(h.expr, current)
+        if not current:
+            break
         coeff *= -1j * t / q
         terms.extend((coeff * amp, state) for amp, state in current.terms)
     return merge(terms)

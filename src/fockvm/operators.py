@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Union
 
 from . import isa
@@ -360,7 +360,11 @@ class ScalarMul(OperatorExpr):
 
 @dataclass(frozen=True)
 class Product(OperatorExpr):
-    """Operator product; the rightmost factor applies first."""
+    """Operator product; the rightmost factor applies first.
+
+    Evaluation skips a factor ``GuardedPower(_, ThetaTheta(Num(PC) - c))``
+    while no live term has ``pc == c``, which is exactly the identity.
+    """
 
     factors: tuple[OperatorExpr, ...]
 
@@ -475,6 +479,27 @@ class EvalStats:
         self.reentries = 0
 
 
+def _pc_guard(factor: OperatorExpr) -> int | None:
+    """``c`` when ``factor`` is exactly ``GuardedPower(_, ThetaTheta(Num(PC) - c))``."""
+    if type(factor) is GuardedPower and type(factor.exponent) is ThetaTheta:
+        arg = factor.exponent.arg
+        if type(arg) is ExpSub and type(arg.right) is Const:
+            if type(arg.left) is Num and arg.left.loc == PC:
+                return arg.right.value
+    return None
+
+
+def _pc_guards(expr: Product) -> tuple[int | None, ...]:
+    """The program-counter guard of each factor of ``expr`` in application
+    order, built on first use and kept on the node outside its fields."""
+    try:
+        return expr._pc_guards
+    except AttributeError:
+        guards = tuple(_pc_guard(factor) for factor in reversed(expr.factors))
+        object.__setattr__(expr, "_pc_guards", guards)
+        return guards
+
+
 def apply_primitive(op: Primitive, state: BasisState) -> list[tuple[complex, BasisState]]:
     """Action of a single primitive on one basis state.
 
@@ -522,8 +547,18 @@ def _dispatch(
         return [(expr.scalar * amp, state) for amp, state in live]
 
     if isinstance(expr, Product):
-        for factor in reversed(expr.factors):
+        # A factor guarded by ThetaTheta(Num(PC) - c) is the identity when no
+        # live term has pc == c, and combine is idempotent on its own output,
+        # so once the terms have been combined such a factor can be skipped.
+        combined, pcs = False, None
+        for factor, c in zip(reversed(expr.factors), _pc_guards(expr)):
+            if combined and c is not None:
+                if pcs is None:
+                    pcs = {state.pc for _, state in terms}
+                if c not in pcs:
+                    continue
             terms = combine(_dispatch(factor, terms, env, budget, tol, stats, halted), tol)
+            combined, pcs = True, None
         return terms
 
     if isinstance(expr, Sum):
@@ -631,8 +666,8 @@ def locations(node: object) -> set[Location]:
         if isinstance(obj, Location):
             found.add(obj)
         elif isinstance(obj, (OperatorExpr, ExponentExpr)):
-            for value in vars(obj).values():
-                walk(value)
+            for field in fields(obj):
+                walk(getattr(obj, field.name))
         elif isinstance(obj, tuple):
             for item in obj:
                 walk(item)
@@ -672,7 +707,8 @@ def sexpr(node: object) -> str:
         if isinstance(node, Const):
             return str(node.value)
         name = _SEXPR_NAMES.get(type(node)) or type(node).__name__
-        return "(" + " ".join([name, *map(sexpr, vars(node).values())]) + ")"
+        values = (getattr(node, field.name) for field in fields(node))
+        return "(" + " ".join([name, *map(sexpr, values)]) + ")"
     if isinstance(node, Location):
         return str(node)
     if isinstance(node, tuple):

@@ -66,11 +66,14 @@ from .operators import (
     Copy,
     Define,
     EvalStats,
+    ExpMul,
+    ExpSub,
     GuardedPower,
     InstructionOp,
     Mem,
     Num,
     OperatorExpr,
+    Product,
     Raise,
     RecursiveRef,
     SetValue,
@@ -86,6 +89,7 @@ DEFAULT_FUEL = 10
 NORM_TOLERANCE = 1e-9
 
 _DEFINITION_LABEL = "program"
+_JUMPS = (Opcode.TRA, Opcode.TZR)
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
@@ -352,7 +356,7 @@ def compile_sequential(program: Program) -> OperatorExpr:
     The rightmost factor is instruction one; pool constants are written
     first. Raises :class:`JumpsNotSupported` when TRA or TZR appear.
     """
-    if any(ins.opcode in {Opcode.TRA, Opcode.TZR} for ins in program.instructions):
+    if any(ins.opcode in _JUMPS for ins in program.instructions):
         raise JumpsNotSupported("sequential compilation cannot express jumps")
     pool_addr = _pool_value_to_addr(program)
     factors = []
@@ -365,21 +369,31 @@ def compile_sequential(program: Program) -> OperatorExpr:
     return product(*ordered)
 
 
-def _jump_expr(step: int, target_addr: int, label: str) -> OperatorExpr:
+# Subtrees every guarded compile shares. Nodes are frozen, so one copy can
+# stand wherever the paper's formulas repeat them.
+_NUM_PC = Num(PC)
+_CLEAR_PC = Clear(PC)
+_HALT = Bra()
+_FUEL_MINUS_ONE = ExpSub(Num(FUEL), Const(1))
+_FUEL_LEFT = Theta(_FUEL_MINUS_ONE)
+_REENTER = Product((RecursiveRef(_DEFINITION_LABEL), SetValue(FUEL, _FUEL_MINUS_ONE)))
+_REGISTER_ZERO = ThetaTheta(Num(REGISTER))
+_REGISTER_NONZERO = ExpSub(Const(1), _REGISTER_ZERO)
+
+
+def _jump_expr(step: Const, set_pc: OperatorExpr) -> OperatorExpr:
     """Taken-jump expression: set the program counter from memory, then
     recurse if the jump went backward and fuel remains.
 
-    The backward test compares the new program counter against this step's
-    index; forward jumps are covered by the guards of the factors still to
-    come, so they neither recurse nor spend fuel. The fuel guard reads the
-    counter before the decrement, so a backward jump with no fuel leaves the
-    term parked for the runner to report.
+    ``set_pc`` copies the jump target from its memory word into the cleared
+    program counter. The backward test compares the new program counter
+    against this step's index; forward jumps are covered by the guards of
+    the factors still to come, so they neither recurse nor spend fuel. The
+    fuel guard reads the counter before the decrement, so a backward jump
+    with no fuel leaves the term parked for the runner to report.
     """
-    recursion = GuardedPower(
-        product(RecursiveRef(label), SetValue(FUEL, Num(FUEL) - 1)),
-        Theta(Num(FUEL) - 1) * Theta(Const(step) - Num(PC)),
-    )
-    return product(recursion, Copy(PC, Mem(target_addr)), Clear(PC))
+    recursion = GuardedPower(_REENTER, ExpMul(_FUEL_LEFT, Theta(ExpSub(step, _NUM_PC))))
+    return Product((recursion, set_pc, _CLEAR_PC))
 
 
 def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
@@ -390,42 +404,47 @@ def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
     self-contained: it binds the recursion label, initializes the fuel
     counter to ``fuel``, writes the constant pool, and raises the program
     counter from zero to one before the first pass.
+
+    Equal subtrees are built once: the step constants, and the value
+    action of each distinct instruction (for a jump, the copy of its
+    target into the program counter).
     """
     if fuel < 0:
         raise ValueError(f"fuel must be nonnegative, got {fuel}")
     pool_addr = _pool_value_to_addr(program)
+    steps = [Const(i) for i in range(len(program) + 2)]
+    actions: dict[Instruction, OperatorExpr] = {}
     factors = []
     for step, ins in enumerate(program.instructions, start=1):
-        guard = ThetaTheta(Num(PC) - step)
+        guard = ThetaTheta(ExpSub(_NUM_PC, steps[step]))
         if ins.opcode is Opcode.HALT:
-            body: OperatorExpr = Bra()
-        elif ins.opcode is Opcode.TRA:
-            body = _jump_expr(step, ins.operand.value, _DEFINITION_LABEL)
+            factors.append(GuardedPower(_HALT, guard))
+            continue
+        action = actions.get(ins)
+        if action is None:
+            if ins.opcode in _JUMPS:
+                action = Copy(PC, Mem(ins.operand.value))
+            else:
+                action = instruction_operator(ins, pool_addr)
+            actions[ins] = action
+        if ins.opcode is Opcode.TRA:
+            body: OperatorExpr = _jump_expr(steps[step], action)
         elif ins.opcode is Opcode.TZR:
             # The advance branch re-checks the program counter. Re-entered
             # terms leave their pass, so no term cut by fuel reaches it; the
             # check keeps the compiled form and its dump as the paper builds them.
-            body = product(
-                GuardedPower(
-                    SetValue(PC, Const(step + 1)),
-                    (1 - ThetaTheta(Num(REGISTER))) * ThetaTheta(Num(PC) - step),
-                ),
-                GuardedPower(
-                    _jump_expr(step, ins.operand.value, _DEFINITION_LABEL),
-                    ThetaTheta(Num(REGISTER)),
-                ),
-            )
+            body = Product((
+                GuardedPower(SetValue(PC, steps[step + 1]), ExpMul(_REGISTER_NONZERO, guard)),
+                GuardedPower(_jump_expr(steps[step], action), _REGISTER_ZERO),
+            ))
         else:
-            body = product(
-                SetValue(PC, Const(step + 1)),
-                instruction_operator(ins, pool_addr),
-            )
+            body = Product((SetValue(PC, steps[step + 1]), action))
         factors.append(GuardedPower(body, guard))
     definition = product(*reversed(factors))
     return product(
         Define(_DEFINITION_LABEL, definition),
         Raise(PC),
-        Clear(PC),
+        _CLEAR_PC,
         SetValue(FUEL, Const(fuel)),
         *reversed(_pool_factors(program)),
     )

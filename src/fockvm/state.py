@@ -179,14 +179,20 @@ def unit(state: BasisState) -> Superposition:
     return Superposition(((1.0 + 0j, state),))
 
 
-def combine(terms: Iterable[tuple[complex, _S]], drop_tolerance: float) -> list[tuple[complex, _S]]:
+def combine(terms: list[tuple[complex, _S]], drop_tolerance: float) -> list[tuple[complex, _S]]:
     """Sum the amplitudes of identical states, drop sums whose modulus falls
     below ``drop_tolerance``, and sort the survivors by state.
 
     The one merge kernel behind :func:`merge`, the evaluator's product and
     sum steps, and the bit-level machine. A tolerance of ``math.ulp(0.0)``
-    drops exact zeros only.
+    drops exact zeros only. Every sum starts from ``0j``, which also turns
+    a signed zero into ``+0``, so the output is its own fixed point.
     """
+    if len(terms) == 1:
+        # The common case of a deterministic run: nothing to sum or sort.
+        [(amp, state)] = terms
+        amp = 0j + amp
+        return [(amp, state)] if abs(amp) >= drop_tolerance else []
     acc: dict[_S, complex] = {}
     for amp, state in terms:
         acc[state] = acc.get(state, 0j) + amp

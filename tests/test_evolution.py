@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from fockvm.errors import (
     SubtractUnderflow,
     TruncationOverflow,
 )
+from fockvm import evolution
 from fockvm.evolution import (
     assembly_hop_term,
     build_adder_hamiltonian,
@@ -75,6 +77,24 @@ class TestEvolve:
         h = build_hop_hamiltonian(5)
         start = unit(hop_seed())
         assert evolve(h, start, 0.0, 6) == start
+
+    def test_stops_once_the_state_is_annihilated(self, monkeypatch):
+        # H annihilates a state with no quanta, so every order after the
+        # first would apply H to an empty superposition.
+        h = build_hop_hamiltonian(4)
+        start = unit(BasisState(register=1))
+        began = time.perf_counter()
+        assert evolve(h, start, 0.1, 20000) == start
+        assert time.perf_counter() - began < 0.25
+        calls = []
+
+        def counting(expr, s):
+            calls.append(s)
+            return apply_expr(expr, s)
+
+        monkeypatch.setattr(evolution, "apply_expr", counting)
+        assert evolve(h, start, 0.1, 10**9) == start
+        assert calls == [start]
 
     def test_hop_series_matches_closed_form(self):
         h = build_hop_hamiltonian(12)

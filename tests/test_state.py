@@ -191,6 +191,27 @@ class TestMerge:
         out = combine([(1e-300, S2), (1, S1), (-1, S1), (0.5, S)], tiny)
         assert out == [(0.5, S), (1e-300, S2)]
 
+    @pytest.mark.parametrize(
+        "amp", [complex(-0.0, -0.0), complex(-0.0, 0.5), complex(-1.5, -0.0), -0.0, 2]
+    )
+    def test_combine_one_term_has_the_many_term_bits(self, amp):
+        # A tolerance of zero keeps zero sums, so their sign bits show.
+        [(one, state)] = combine([(amp, S1)], 0.0)
+        many = dict((s, a) for a, s in combine([(amp, S1), (1.0, S2)], 0.0))
+        assert state == S1 and type(one) is complex
+        assert (repr(one.real), repr(one.imag)) == (repr(many[S1].real), repr(many[S1].imag))
+
+    def test_combine_one_term_below_tolerance_is_dropped(self):
+        assert combine([(1e-13, S1)], 1e-12) == []
+        assert combine([(1e-12 + 0j, S1)], 1e-12) == [(1e-12, S1)]
+
+    def test_combine_one_term_drops_exact_zeros_only(self):
+        tiny = math.ulp(0.0)
+        assert combine([(0.0, S1)], tiny) == []
+        assert combine([(complex(-0.0, -0.0), S1)], tiny) == []
+        assert combine([(tiny, S1)], tiny) == [(tiny, S1)]
+        assert combine([(-1e-300j, S1)], tiny) == [(-1e-300j, S1)]
+
 
 class TestParseAmplitude:
     @pytest.mark.parametrize(
