@@ -31,11 +31,17 @@ class Opcode(enum.Enum):
     TZR = "TZR"
     HALT = "HALT"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # runs in C, unlike ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class OperandKind(enum.Enum):
     ADDRESS = "address"      # a memory location
     IMMEDIATE = "immediate"  # a literal value, written #k in assembly
     COUNT = "count"          # a signed shift count
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

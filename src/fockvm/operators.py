@@ -484,7 +484,7 @@ def _pc_guard(factor: OperatorExpr) -> int | None:
     if type(factor) is GuardedPower and type(factor.exponent) is ThetaTheta:
         arg = factor.exponent.arg
         if type(arg) is ExpSub and type(arg.right) is Const:
-            if type(arg.left) is Num and arg.left.loc == PC:
+            if type(arg.left) is Num and (arg.left.loc is PC or arg.left.loc == PC):
                 return arg.right.value
     return None
 
@@ -527,26 +527,10 @@ def _dispatch(
     way it leaves the working set, so no further operator of this pass sees
     it. ``budget`` is the number of re-entry passes still allowed.
     """
-    if isinstance(expr, Identity):
-        return terms
-
-    if isinstance(expr, Primitive):
-        stats.primitive_ops += len(terms)
-        return [
-            (amp * factor, image)
-            for amp, state in terms
-            for factor, image in expr.act(state)
-        ]
-
-    if isinstance(expr, ScalarMul):
-        # Terms that halt or re-enter inside are scaled where they were put.
-        marks = [(pending, len(pending)) for pending in (halted, *env.values())]
-        live = _dispatch(expr.expr, terms, env, budget, tol, stats, halted)
-        for pending, mark in marks:
-            pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
-        return [(expr.scalar * amp, state) for amp, state in live]
-
-    if isinstance(expr, Product):
+    # Branch on the exact node type, the most frequent first. Every leaf
+    # is a Primitive subclass, the bit-level ones included.
+    kind = type(expr)
+    if kind is Product:
         # A factor guarded by ThetaTheta(Num(PC) - c) is the identity when no
         # live term has pc == c, and combine is idempotent on its own output,
         # so once the terms have been combined such a factor can be skipped.
@@ -561,13 +545,7 @@ def _dispatch(
             combined, pcs = True, None
         return terms
 
-    if isinstance(expr, Sum):
-        out = []
-        for branch in expr.terms:
-            out.extend(_dispatch(branch, terms, env, budget, tol, stats, halted))
-        return combine(out, tol)
-
-    if isinstance(expr, GuardedPower):
+    if kind is GuardedPower:
         out = []
         for term in terms:
             k = eval_exponent(expr.exponent, term[1])
@@ -579,7 +557,7 @@ def _dispatch(
             out.extend(branch)
         return out
 
-    if isinstance(expr, SetValue):
+    if kind is SetValue:
         out = []
         for amp, state in terms:
             value = eval_exponent(expr.value, state)
@@ -589,11 +567,33 @@ def _dispatch(
             out.append((amp, with_location(state, expr.loc, value)))
         return out
 
-    if isinstance(expr, InstructionOp):
+    if isinstance(expr, Primitive):
+        stats.primitive_ops += len(terms)
+        return [
+            (amp * factor, image)
+            for amp, state in terms
+            for factor, image in expr.act(state)
+        ]
+
+    if kind is Sum:
+        out = []
+        for branch in expr.terms:
+            out.extend(_dispatch(branch, terms, env, budget, tol, stats, halted))
+        return combine(out, tol)
+
+    if kind is InstructionOp:
         stats.primitive_ops += len(terms)
         return [(amp, isa.apply_to_state(expr.instr, state)) for amp, state in terms]
 
-    if isinstance(expr, RecursiveRef):
+    if kind is ScalarMul:
+        # Terms that halt or re-enter inside are scaled where they were put.
+        marks = [(pending, len(pending)) for pending in (halted, *env.values())]
+        live = _dispatch(expr.expr, terms, env, budget, tol, stats, halted)
+        for pending, mark in marks:
+            pending[mark:] = [(expr.scalar * amp, state) for amp, state in pending[mark:]]
+        return [(expr.scalar * amp, state) for amp, state in live]
+
+    if kind is RecursiveRef:
         if terms:
             if budget <= 0:
                 raise FuelExhausted(f"recursive re-entry of {expr.label!r} with no budget left")
@@ -603,11 +603,11 @@ def _dispatch(
             env[expr.label].extend(terms)
         return []
 
-    if isinstance(expr, Bra):
+    if kind is Bra:
         halted.extend(terms)
         return []
 
-    if isinstance(expr, Define):
+    if kind is Define:
         out = []
         while terms:
             reentered: list[Term] = []
@@ -615,6 +615,9 @@ def _dispatch(
             out.extend(_dispatch(expr.body, terms, inner, budget, tol, stats, halted))
             terms, budget = reentered, budget - 1
         return out
+
+    if kind is Identity:
+        return terms
 
     raise TypeError(f"not an operator expression: {expr!r}")
 

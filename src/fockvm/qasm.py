@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     FuelExhausted,
@@ -381,19 +382,72 @@ _REGISTER_ZERO = ThetaTheta(Num(REGISTER))
 _REGISTER_NONZERO = ExpSub(Const(1), _REGISTER_ZERO)
 
 
-def _jump_expr(step: Const, set_pc: OperatorExpr) -> OperatorExpr:
+class _Step(NamedTuple):
+    """The subtrees of guarded step ``i`` that no program changes."""
+
+    #: ``ThetaTheta(Num(PC) - i)``: 1 exactly when the program counter is i.
+    guard: ThetaTheta
+    #: ``SetValue(PC, i)``: the advance of step i - 1.
+    enter: SetValue
+    #: The backward-jump recursion of a jump at step i; see ``_jump_expr``.
+    recursion: GuardedPower
+    #: The HALT factor of step i.
+    halt: GuardedPower
+    #: TZR's advance branch: step to i + 1 when the register is nonzero.
+    advance_if_nonzero: GuardedPower
+
+
+def _build_steps(first: int, stop: int) -> tuple[_Step, ...]:
+    """Steps ``first`` to ``stop - 1``.
+
+    The recursion re-enters the definition when the jump went backward and
+    fuel remains. It compares the new program counter against the step's
+    index; forward jumps are covered by the guards of the factors still to
+    come, so they neither recurse nor spend fuel. The fuel guard reads the
+    counter before the decrement, so a backward jump with no fuel leaves the
+    term parked for the runner to report.
+    """
+    indices = [Const(i) for i in range(first, stop + 1)]
+    enters = [SetValue(PC, index) for index in indices]
+    steps = []
+    for k, index in enumerate(indices[:-1]):
+        guard = ThetaTheta(ExpSub(_NUM_PC, index))
+        steps.append(_Step(
+            guard,
+            enters[k],
+            GuardedPower(_REENTER, ExpMul(_FUEL_LEFT, Theta(ExpSub(index, _NUM_PC)))),
+            GuardedPower(_HALT, guard),
+            GuardedPower(enters[k + 1], ExpMul(_REGISTER_NONZERO, guard)),
+        ))
+    return tuple(steps)
+
+
+#: ``_STEPS[i]`` holds step i, for every step of the longest program
+#: compiled so far plus one. A compile that needs more steps builds them and
+#: rebinds the name to a new tuple, never changing the old one, so every
+#: table a compile holds, in any thread, has step i at index i. Compiles
+#: growing it at once may build the same steps twice; that costs only time.
+_STEPS: tuple[_Step, ...] = ()
+
+
+def _step_table(n: int) -> tuple[_Step, ...]:
+    """The step table, grown to cover steps 0 to ``n + 1``."""
+    global _STEPS
+    table = _STEPS
+    if len(table) < n + 2:
+        table = table + _build_steps(len(table), n + 2)
+        _STEPS = table
+    return table
+
+
+def _jump_expr(step: _Step, set_pc: OperatorExpr) -> OperatorExpr:
     """Taken-jump expression: set the program counter from memory, then
     recurse if the jump went backward and fuel remains.
 
     ``set_pc`` copies the jump target from its memory word into the cleared
-    program counter. The backward test compares the new program counter
-    against this step's index; forward jumps are covered by the guards of
-    the factors still to come, so they neither recurse nor spend fuel. The
-    fuel guard reads the counter before the decrement, so a backward jump
-    with no fuel leaves the term parked for the runner to report.
+    program counter.
     """
-    recursion = GuardedPower(_REENTER, ExpMul(_FUEL_LEFT, Theta(ExpSub(step, _NUM_PC))))
-    return Product((recursion, set_pc, _CLEAR_PC))
+    return Product((step.recursion, set_pc, _CLEAR_PC))
 
 
 def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
@@ -405,41 +459,49 @@ def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
     counter to ``fuel``, writes the constant pool, and raises the program
     counter from zero to one before the first pass.
 
-    Equal subtrees are built once: the step constants, and the value
-    action of each distinct instruction (for a jump, the copy of its
-    target into the program counter).
+    Equal subtrees are built once. The subtrees of step i that hold no
+    program data (its index, guard, advance, backward-jump recursion, HALT
+    factor and TZR advance branch) come from a module table shared by
+    every compile. It grows to the longest program compiled so far and
+    costs about 1.1 kB (eleven nodes) per step, about one and a half times
+    what one compile of that program built before the steps were shared.
+    Per compile, the value action of each distinct instruction (for a
+    jump, the copy of its target into the program counter) is built once,
+    so each instruction adds only its guarded factor and body.
     """
     if fuel < 0:
         raise ValueError(f"fuel must be nonnegative, got {fuel}")
     pool_addr = _pool_value_to_addr(program)
-    steps = [Const(i) for i in range(len(program) + 2)]
-    actions: dict[Instruction, OperatorExpr] = {}
+    steps = _step_table(len(program))
+    # Keyed on plain tuples, which hash in C, rather than on Instruction.
+    actions: dict[object, OperatorExpr] = {}
     factors = []
-    for step, ins in enumerate(program.instructions, start=1):
-        guard = ThetaTheta(ExpSub(_NUM_PC, steps[step]))
-        if ins.opcode is Opcode.HALT:
-            factors.append(GuardedPower(_HALT, guard))
+    for i, ins in enumerate(program.instructions, start=1):
+        step, op, operand = steps[i], ins.opcode, ins.operand
+        if op is Opcode.HALT:
+            factors.append(step.halt)
             continue
-        action = actions.get(ins)
+        key = op if operand is None else (op, operand.kind, operand.value)
+        action = actions.get(key)
         if action is None:
-            if ins.opcode in _JUMPS:
-                action = Copy(PC, Mem(ins.operand.value))
+            if op in _JUMPS:
+                action = Copy(PC, Mem(operand.value))
             else:
                 action = instruction_operator(ins, pool_addr)
-            actions[ins] = action
-        if ins.opcode is Opcode.TRA:
-            body: OperatorExpr = _jump_expr(steps[step], action)
-        elif ins.opcode is Opcode.TZR:
+            actions[key] = action
+        if op is Opcode.TRA:
+            body: OperatorExpr = _jump_expr(step, action)
+        elif op is Opcode.TZR:
             # The advance branch re-checks the program counter. Re-entered
             # terms leave their pass, so no term cut by fuel reaches it; the
             # check keeps the compiled form and its dump as the paper builds them.
             body = Product((
-                GuardedPower(SetValue(PC, steps[step + 1]), ExpMul(_REGISTER_NONZERO, guard)),
-                GuardedPower(_jump_expr(steps[step], action), _REGISTER_ZERO),
+                step.advance_if_nonzero,
+                GuardedPower(_jump_expr(step, action), _REGISTER_ZERO),
             ))
         else:
-            body = Product((SetValue(PC, steps[step + 1]), action))
-        factors.append(GuardedPower(body, guard))
+            body = Product((steps[i + 1].enter, action))
+        factors.append(GuardedPower(body, step.guard))
     definition = product(*reversed(factors))
     return product(
         Define(_DEFINITION_LABEL, definition),

@@ -604,10 +604,19 @@ class _Emitter:
                 "dispatch window needed by pointer code"
             )
 
+        # Each distinct abstract instruction is resolved once and the frozen
+        # result reused: pointer dispatch tables repeat a few jumps hundreds
+        # of times.
+        resolved: dict[tuple, Instruction] = {}
         instructions = []
-        for opcode, operand in stream:
-            instructions.append(Instruction(opcode, self._resolve(operand, offset, addresses)))
-        pool = build_pool(tuple(instructions), len(addresses))
+        for abstract in stream:
+            ins = resolved.get(abstract)
+            if ins is None:
+                opcode, operand = abstract
+                ins = Instruction(opcode, self._resolve(operand, offset, addresses))
+                resolved[abstract] = ins
+            instructions.append(ins)
+        pool = build_pool(tuple(resolved.values()), len(addresses))
         return Program(tuple(instructions), addresses, pool)
 
     def _resolve(self, operand: tuple | None, offset: int, addresses: dict[str, int]) -> Operand | None:
