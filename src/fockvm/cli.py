@@ -67,9 +67,12 @@ def _parse_input_list(text: str | None) -> list[int]:
     if not text:
         return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"bad input list {text!r}, expected comma-separated integers") from None
+    if any(value < 0 for value in values):
+        raise UsageError(f"bad input list {text!r}, input values must be nonnegative")
+    return values
 
 
 def _int_at_least(low: int, at_most: int | None = None):

@@ -38,6 +38,9 @@ from .operators import (
 from .qasm import instruction_operator
 from .state import BasisState, Superposition, merge, unit
 
+#: The dense oracle refuses a basis state with more quanta than this in a mode.
+MAX_OCCUPANCY = 64
+
 
 @dataclass(frozen=True)
 class Hamiltonian:
@@ -49,7 +52,6 @@ class Hamiltonian:
 
     expr: OperatorExpr
     mode_count: int
-    max_occupancy: int = 64
     boundary_modes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -164,10 +166,8 @@ def _reachable_basis(h: Hamiltonian, s0: Superposition, order: int, bound: int) 
     for _ in range(order):
         new: list[BasisState] = []
         for state in frontier:
-            if any(v > h.max_occupancy for _, v in state.mem):
-                raise StateSpaceTooLarge(
-                    f"occupancy exceeded the oracle bound {h.max_occupancy}"
-                )
+            if any(v > MAX_OCCUPANCY for _, v in state.mem):
+                raise StateSpaceTooLarge(f"occupancy exceeded the oracle bound {MAX_OCCUPANCY}")
             for _, image in apply_expr(h.expr, unit(state)).terms:
                 if image not in seen:
                     seen[image] = None

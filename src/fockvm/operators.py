@@ -216,21 +216,26 @@ def as_exponent(value: Union[int, ExponentExpr]) -> ExponentExpr:
 
 
 def eval_exponent(expr: ExponentExpr, state: BasisState) -> int:
-    """Exact integer evaluation of an exponent expression on a basis state."""
-    if isinstance(expr, Const):
+    """Exact integer evaluation of an exponent expression on a basis state.
+
+    Branches on the node's exact type, most frequent first; the recursion
+    goes through the module-level name, so wrapping it sees every call.
+    """
+    kind = type(expr)
+    if kind is Const:
         return expr.value
-    if isinstance(expr, Num):
-        return location_value(state, expr.loc)
-    if isinstance(expr, ExpAdd):
-        return eval_exponent(expr.left, state) + eval_exponent(expr.right, state)
-    if isinstance(expr, ExpSub):
+    if kind is ExpSub:
         return eval_exponent(expr.left, state) - eval_exponent(expr.right, state)
-    if isinstance(expr, ExpMul):
-        return eval_exponent(expr.left, state) * eval_exponent(expr.right, state)
-    if isinstance(expr, Theta):
-        return 1 if eval_exponent(expr.arg, state) >= 0 else 0
-    if isinstance(expr, ThetaTheta):
+    if kind is Num:
+        return location_value(state, expr.loc)
+    if kind is ThetaTheta:
         return 1 if eval_exponent(expr.arg, state) == 0 else 0
+    if kind is ExpMul:
+        return eval_exponent(expr.left, state) * eval_exponent(expr.right, state)
+    if kind is Theta:
+        return 1 if eval_exponent(expr.arg, state) >= 0 else 0
+    if kind is ExpAdd:
+        return eval_exponent(expr.left, state) + eval_exponent(expr.right, state)
     raise TypeError(f"not an exponent expression: {expr!r}")
 
 

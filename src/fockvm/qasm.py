@@ -30,6 +30,7 @@ one output state with amplitude modulus one.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -301,43 +302,29 @@ def interpret(program: Program, input_values: list[int], step_limit: int = DEFAU
 # Compilation to operator expressions
 
 
-def instruction_operator(ins: Instruction, pool_addr: dict[int, int] | None = None) -> OperatorExpr:
+def instruction_operator(ins: Instruction) -> OperatorExpr:
     """Operator form of one instruction's value action (no program counter).
 
-    ``pool_addr`` maps immediate values to their pool addresses; when given,
-    immediates are rewritten to pool locations so the operator layer stays
-    purely location-based. Without it immediates act directly.
+    Register instructions act on an immediate directly. LOAD reads memory
+    only, so an immediate LOAD raises; the compilers replace each immediate
+    with its pool address, keeping the operator layer location-based.
     """
-    op = ins.opcode
+    op, operand = ins.opcode, ins.operand
     if op is Opcode.LOAD:
-        src = _operand_location(ins.operand, pool_addr)
-        return product(Copy(REGISTER, src), Clear(REGISTER))
+        if operand.kind is OperandKind.IMMEDIATE:
+            raise ValueError("immediate operand needs a constant pool")
+        return product(Copy(REGISTER, Mem(operand.value)), Clear(REGISTER))
     if op is Opcode.STORE:
-        dst = Mem(ins.operand.value)
+        dst = Mem(operand.value)
         return product(Copy(dst, REGISTER), Clear(dst))
     if op is Opcode.INPUT:
-        dst = Mem(ins.operand.value)
+        dst = Mem(operand.value)
         return product(Copy(dst, IN), Clear(dst))
     if op is Opcode.OUTPUT:
-        return Copy(OUT, Mem(ins.operand.value))
+        return Copy(OUT, Mem(operand.value))
     if op in REGISTER_OPCODES:
-        operand = ins.operand
-        if (
-            operand is not None
-            and operand.kind is OperandKind.IMMEDIATE
-            and pool_addr is not None
-        ):
-            operand = address(pool_addr[operand.value])
-        return InstructionOp(Instruction(op, operand))
+        return InstructionOp(ins)
     raise ValueError(f"{op.value} has no standalone value action")
-
-
-def _operand_location(operand: Operand, pool_addr: dict[int, int] | None):
-    if operand.kind is OperandKind.IMMEDIATE:
-        if pool_addr is None:
-            raise ValueError("immediate operand needs a constant pool")
-        return Mem(pool_addr[operand.value])
-    return Mem(operand.value)
 
 
 def _pool_factors(program: Program) -> list[OperatorExpr]:
@@ -351,27 +338,8 @@ def _pool_value_to_addr(program: Program) -> dict[int, int]:
     return {value: addr for addr, value in program.pool.items()}
 
 
-def compile_sequential(program: Program) -> OperatorExpr:
-    """Right-to-left product for a jump-free program.
-
-    The rightmost factor is instruction one; pool constants are written
-    first. Raises :class:`JumpsNotSupported` when TRA or TZR appear.
-    """
-    if any(ins.opcode in _JUMPS for ins in program.instructions):
-        raise JumpsNotSupported("sequential compilation cannot express jumps")
-    pool_addr = _pool_value_to_addr(program)
-    factors = []
-    for ins in program.instructions:
-        if ins.opcode is Opcode.HALT:
-            factors.append(Bra())
-        else:
-            factors.append(instruction_operator(ins, pool_addr))
-    ordered = list(reversed(factors)) + list(reversed(_pool_factors(program)))
-    return product(*ordered)
-
-
-# Subtrees every guarded compile shares. Nodes are frozen, so one copy can
-# stand wherever the paper's formulas repeat them.
+# Subtrees every compile shares. Nodes are frozen, so one copy can stand
+# wherever the paper's formulas repeat them.
 _NUM_PC = Num(PC)
 _CLEAR_PC = Clear(PC)
 _HALT = Bra()
@@ -382,14 +350,38 @@ _REGISTER_ZERO = ThetaTheta(Num(REGISTER))
 _REGISTER_NONZERO = ExpSub(Const(1), _REGISTER_ZERO)
 
 
+@functools.cache
+def _action(opcode: Opcode, kind: OperandKind | None, value: int | None) -> OperatorExpr:
+    """Value action of an instruction with no immediate operand; for a
+    jump, the copy of its target into the cleared program counter."""
+    if opcode in _JUMPS:
+        return Copy(PC, Mem(value))
+    return instruction_operator(Instruction(opcode, None if kind is None else Operand(kind, value)))
+
+
+def _pooled_action(ins: Instruction, pool_addr: dict[int, int]) -> OperatorExpr:
+    """The action of ``ins``, reading an immediate from its pool address."""
+    operand = ins.operand
+    if operand is None:
+        return _action(ins.opcode, None, None)
+    if operand.kind is OperandKind.IMMEDIATE:
+        return _action(ins.opcode, OperandKind.ADDRESS, pool_addr[operand.value])
+    return _action(ins.opcode, operand.kind, operand.value)
+
+
 class _Step(NamedTuple):
     """The subtrees of guarded step ``i`` that no program changes."""
 
     #: ``ThetaTheta(Num(PC) - i)``: 1 exactly when the program counter is i.
     guard: ThetaTheta
-    #: ``SetValue(PC, i)``: the advance of step i - 1.
-    enter: SetValue
-    #: The backward-jump recursion of a jump at step i; see ``_jump_expr``.
+    #: ``SetValue(PC, i + 1)``: the advance to the next instruction.
+    advance: SetValue
+    #: The backward-jump recursion of a jump at step i. It re-enters the
+    #: definition when the new program counter is at most i and fuel
+    #: remains; forward jumps are covered by the guards of the factors still
+    #: to come, so they neither recurse nor spend fuel. The fuel guard reads
+    #: the counter before the decrement, so a backward jump with no fuel
+    #: leaves the term parked for the runner to report.
     recursion: GuardedPower
     #: The HALT factor of step i.
     halt: GuardedPower
@@ -397,57 +389,34 @@ class _Step(NamedTuple):
     advance_if_nonzero: GuardedPower
 
 
-def _build_steps(first: int, stop: int) -> tuple[_Step, ...]:
-    """Steps ``first`` to ``stop - 1``.
+@functools.cache
+def _step(i: int) -> _Step:
+    index = Const(i)
+    guard = ThetaTheta(ExpSub(_NUM_PC, index))
+    advance = SetValue(PC, Const(i + 1))
+    return _Step(
+        guard,
+        advance,
+        GuardedPower(_REENTER, ExpMul(_FUEL_LEFT, Theta(ExpSub(index, _NUM_PC)))),
+        GuardedPower(_HALT, guard),
+        GuardedPower(advance, ExpMul(_REGISTER_NONZERO, guard)),
+    )
 
-    The recursion re-enters the definition when the jump went backward and
-    fuel remains. It compares the new program counter against the step's
-    index; forward jumps are covered by the guards of the factors still to
-    come, so they neither recurse nor spend fuel. The fuel guard reads the
-    counter before the decrement, so a backward jump with no fuel leaves the
-    term parked for the runner to report.
+
+def compile_sequential(program: Program) -> OperatorExpr:
+    """Right-to-left product for a jump-free program.
+
+    The rightmost factor is instruction one; pool constants are written
+    first. Raises :class:`JumpsNotSupported` when TRA or TZR appear.
     """
-    indices = [Const(i) for i in range(first, stop + 1)]
-    enters = [SetValue(PC, index) for index in indices]
-    steps = []
-    for k, index in enumerate(indices[:-1]):
-        guard = ThetaTheta(ExpSub(_NUM_PC, index))
-        steps.append(_Step(
-            guard,
-            enters[k],
-            GuardedPower(_REENTER, ExpMul(_FUEL_LEFT, Theta(ExpSub(index, _NUM_PC)))),
-            GuardedPower(_HALT, guard),
-            GuardedPower(enters[k + 1], ExpMul(_REGISTER_NONZERO, guard)),
-        ))
-    return tuple(steps)
-
-
-#: ``_STEPS[i]`` holds step i, for every step of the longest program
-#: compiled so far plus one. A compile that needs more steps builds them and
-#: rebinds the name to a new tuple, never changing the old one, so every
-#: table a compile holds, in any thread, has step i at index i. Compiles
-#: growing it at once may build the same steps twice; that costs only time.
-_STEPS: tuple[_Step, ...] = ()
-
-
-def _step_table(n: int) -> tuple[_Step, ...]:
-    """The step table, grown to cover steps 0 to ``n + 1``."""
-    global _STEPS
-    table = _STEPS
-    if len(table) < n + 2:
-        table = table + _build_steps(len(table), n + 2)
-        _STEPS = table
-    return table
-
-
-def _jump_expr(step: _Step, set_pc: OperatorExpr) -> OperatorExpr:
-    """Taken-jump expression: set the program counter from memory, then
-    recurse if the jump went backward and fuel remains.
-
-    ``set_pc`` copies the jump target from its memory word into the cleared
-    program counter.
-    """
-    return Product((step.recursion, set_pc, _CLEAR_PC))
+    if any(ins.opcode in _JUMPS for ins in program.instructions):
+        raise JumpsNotSupported("sequential compilation cannot express jumps")
+    pool_addr = _pool_value_to_addr(program)
+    factors = [
+        _HALT if ins.opcode is Opcode.HALT else _pooled_action(ins, pool_addr)
+        for ins in program.instructions
+    ]
+    return product(*reversed(factors), *reversed(_pool_factors(program)))
 
 
 def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
@@ -459,48 +428,34 @@ def compile_guarded(program: Program, fuel: int = DEFAULT_FUEL) -> OperatorExpr:
     counter to ``fuel``, writes the constant pool, and raises the program
     counter from zero to one before the first pass.
 
-    Equal subtrees are built once. The subtrees of step i that hold no
-    program data (its index, guard, advance, backward-jump recursion, HALT
-    factor and TZR advance branch) come from a module table shared by
-    every compile. It grows to the longest program compiled so far and
-    costs about 1.1 kB (eleven nodes) per step, about one and a half times
-    what one compile of that program built before the steps were shared.
-    Per compile, the value action of each distinct instruction (for a
-    jump, the copy of its target into the program counter) is built once,
-    so each instruction adds only its guarded factor and body.
+    The subtrees of step i that hold no program data (``_step``) and the
+    value action of each distinct instruction (``_action``) are memoized
+    per process, so a compile builds only each instruction's guarded factor
+    and body. The memos are never freed: steps cost about 1.2 kB each, up
+    to the longest program compiled, and actions about 0.5 kB each, one per
+    distinct opcode and address.
     """
     if fuel < 0:
         raise ValueError(f"fuel must be nonnegative, got {fuel}")
     pool_addr = _pool_value_to_addr(program)
-    steps = _step_table(len(program))
-    # Keyed on plain tuples, which hash in C, rather than on Instruction.
-    actions: dict[object, OperatorExpr] = {}
     factors = []
     for i, ins in enumerate(program.instructions, start=1):
-        step, op, operand = steps[i], ins.opcode, ins.operand
+        step, op = _step(i), ins.opcode
         if op is Opcode.HALT:
             factors.append(step.halt)
             continue
-        key = op if operand is None else (op, operand.kind, operand.value)
-        action = actions.get(key)
-        if action is None:
-            if op in _JUMPS:
-                action = Copy(PC, Mem(operand.value))
-            else:
-                action = instruction_operator(ins, pool_addr)
-            actions[key] = action
-        if op is Opcode.TRA:
-            body: OperatorExpr = _jump_expr(step, action)
-        elif op is Opcode.TZR:
-            # The advance branch re-checks the program counter. Re-entered
-            # terms leave their pass, so no term cut by fuel reaches it; the
-            # check keeps the compiled form and its dump as the paper builds them.
-            body = Product((
-                step.advance_if_nonzero,
-                GuardedPower(_jump_expr(step, action), _REGISTER_ZERO),
-            ))
+        action = _pooled_action(ins, pool_addr)
+        if op in _JUMPS:
+            # Taken jump: copy the target into the cleared program counter,
+            # then recurse if the jump went backward and fuel remains.
+            body: OperatorExpr = Product((step.recursion, action, _CLEAR_PC))
+            if op is Opcode.TZR:
+                # The advance branch re-checks the program counter. Re-entered
+                # terms leave their pass, so no term cut by fuel reaches it; the
+                # check keeps the compiled form and its dump as the paper builds them.
+                body = Product((step.advance_if_nonzero, GuardedPower(body, _REGISTER_ZERO)))
         else:
-            body = Product((steps[i + 1].enter, action))
+            body = Product((step.advance, action))
         factors.append(GuardedPower(body, step.guard))
     definition = product(*reversed(factors))
     return product(

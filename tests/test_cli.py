@@ -120,6 +120,10 @@ class TestExitCodes:
             ("evolve", "--hamiltonian=--", "--modes", "4", "--state", "data/one_quantum.state"),
             ("sample", "data/one_quantum.state", "--count=--"),
             ("run", "data/add.qasm", "--input=--"),
+            ("run", "data/add.qasm", "--input=-3,2", "--mode", "algebraic"),
+            ("run", "data/add.qasm", "--input=-3,2", "--mode", "interp"),
+            ("qc", "run", "data/add.qc", "--input=2,-3"),
+            ("superpose", "data/add.qasm@1", "--input=-3,2"),
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -519,9 +523,9 @@ _CONTRACT_CASES = {
     "evolve --state": (_STATE, ("evolve", "--hamiltonian", "hop", "--modes", "4", "--order", "2", "--state", "{}"), {}),
 }
 
-# Generated numeric flag values, each subcommand reading a valid file from
-# data/: integers and floats in a small range around the valid values, and
-# malformed text, passed as ``--flag=value`` so a value may start with "-".
+# Generated flag values, each subcommand reading a valid file from data/:
+# integers and floats in a small range around the valid values, input lists,
+# and malformed text, passed as ``--flag=value`` so a value may start with "-".
 _MALFORMED = st.sampled_from(
     ["", "x", "1.5", "1e2", "1e400", "-1e400", "nan", "inf", "-inf", "0x10", "1_0", " 3 ", "+2", "-0", "--", "\u0663"]
 )
@@ -538,11 +542,14 @@ def _flag_value(low, high):
 
 _FUEL = {"--fuel": _flag_value(-2, 12)}
 _WINDOW = {"--window": _flag_value(-2, 8)}
+# Input lists: comma-joined integers in [-3, 9], or malformed text.
+_INPUT = {"--input": st.one_of(st.lists(st.integers(-3, 9).map(str), max_size=4).map(",".join), _MALFORMED)}
 _FLAG_CASES = {
-    "run": (("run", "{data}/add.qasm", "--input", "1,2,3", "--step-limit", "30"), _FUEL),
+    "run": (("run", "{data}/add.qasm", "--step-limit", "30"), {**_FUEL, **_INPUT}),
     "compile": (("compile", "{data}/add.qasm"), _FUEL),
     "qc compile": (("qc", "compile", "{data}/add.qc"), _WINDOW),
-    "qc run": (("qc", "run", "{data}/add.qc", "--input", "1,2,3", "--step-limit", "30"), {**_WINDOW, **_FUEL}),
+    "qc run": (("qc", "run", "{data}/add.qc", "--step-limit", "30"), {**_WINDOW, **_FUEL, **_INPUT}),
+    "superpose": (("superpose", "{data}/add.qasm@1"), {**_FUEL, **_INPUT}),
     "grammar derive": (("grammar", "derive", "{data}/coin.g"), {"--steps": _flag_value(-2, 2)}),
     "sample": (("sample", "{data}/one_quantum.state"), {"--count": _flag_value(-2, 50)}),
     "evolve --state": (("evolve", "--hamiltonian", "hop", "--state", "{data}/one_quantum.state"),
@@ -559,9 +566,9 @@ def _assert_documented_exit(capsys, argv):
 
 
 class TestCliContract:
-    """Every file a subcommand reads, and every value of its numeric flags,
-    ends in exit 0, 2, 3 or 4, never a traceback, and a nonzero exit prints
-    exactly one diagnostic line."""
+    """Every file a subcommand reads, and every value of its numeric and
+    input-list flags, ends in exit 0, 2, 3 or 4, never a traceback, and a
+    nonzero exit prints exactly one diagnostic line."""
 
     @pytest.mark.parametrize("command", list(_CONTRACT_CASES))
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,10 +1,10 @@
-"""Compile-time sharing: the step table, instruction keys and interning.
+"""Compile-time sharing: memoized steps and actions, instruction keys, interning.
 
-``compile_guarded`` takes the program-independent subtrees of each step
-from a module table that grows with the longest program compiled, so the
+The compilers take the program-independent subtrees of each step and the
+value action of each distinct instruction from per-process memos, so the
 order of compiles and concurrent compiles must not change any dump. C
 lowering resolves each distinct instruction once. The digests and listing
-hashes below were recorded before either change.
+hashes below were recorded before any of this sharing.
 """
 
 import hashlib
@@ -22,6 +22,7 @@ from fockvm.isa import Instruction, Opcode, OperandKind, address, count, immedia
 from fockvm.operators import (
     PC,
     Const,
+    Define,
     ExpSub,
     Num,
     SetValue,
@@ -30,7 +31,7 @@ from fockvm.operators import (
     locations,
     sexpr,
 )
-from fockvm.qasm import compile_guarded, disassemble, parse_program
+from fockvm.qasm import compile_guarded, compile_sequential, disassemble, instruction_operator, parse_program
 from fockvm.state import BasisState, unit
 from test_guard_index import POINTER_A, POINTER_B, QASM_DIGESTS, digest
 
@@ -61,9 +62,9 @@ INLINE_LISTING_DIGESTS = {
     POINTER_LONG: "a3a7fdb07399bb95cf4808caefe651cd16ab989f70525a27356aef353474ad61",
 }
 
-#: Run in a fresh interpreter, so the step table starts empty: compiles the
-#: long pointer program and the assembly files in the order given, and
-#: prints each digest and the table length.
+#: Run in a fresh interpreter, so the memos start empty: compiles the long
+#: pointer program and the assembly files in the order given, and prints
+#: each digest and the number of memoized steps.
 ORDERED_COMPILES = """
 import hashlib, json, sys
 from pathlib import Path
@@ -83,9 +84,10 @@ for name, fuel in jobs:
     longest = max(longest, len(program))
     text = sexpr(qasm.compile_guarded(program, fuel))
     digests.append([name, fuel, hashlib.sha256(text.encode()).hexdigest()])
-table = qasm._STEPS
-print(json.dumps({"digests": digests, "longest": longest, "table": len(table),
-                  "indices": all(step.enter.value == qasm.Const(i) for i, step in enumerate(table))}))
+steps = qasm._step.cache_info().currsize
+print(json.dumps({"digests": digests, "longest": longest, "steps": steps,
+                  "indices": all(qasm._step(i).advance.value == qasm.Const(i + 1)
+                                 for i in range(1, longest + 1))}))
 """
 
 
@@ -113,18 +115,18 @@ class TestStepTableAcrossCompiles:
             want = POINTER_LONG_DIGEST if name == "long" else QASM_DIGESTS[name, fuel]
             assert value == want, (name, fuel)
         assert got["longest"] == 1060
-        assert got["table"] == got["longest"] + 2
+        assert got["steps"] == got["longest"]
         assert got["indices"]
 
-    def test_table_covers_the_longest_program_plus_one(self, monkeypatch):
-        monkeypatch.setattr(qasm, "_STEPS", ())
+    def test_step_holds_its_guard_and_advance(self):
         for length in (12, 40, 25):
             compile_guarded(parse_program(assembly(length)))
-        table = qasm._STEPS
-        assert len(table) == 40 + 2
-        for i, step in enumerate(table):
+        for i in range(1, 41):
+            step = qasm._step(i)
             assert step.guard == ThetaTheta(ExpSub(Num(PC), Const(i)))
-            assert step.enter == SetValue(PC, Const(i))
+            assert step.advance == SetValue(PC, Const(i + 1))
+            assert step.halt.exponent is step.guard
+            assert step.advance_if_nonzero.base is step.advance
 
     def test_evaluating_one_program_leaves_another_unchanged(self):
         first, second = (compile_guarded(qcc.compile_c(src, 256)) for src in (POINTER_A, POINTER_B))
@@ -136,13 +138,14 @@ class TestStepTableAcrossCompiles:
         apply_with_status(second, unit(BasisState(input=(4,))))
         assert sexpr(second) == text
 
-    def test_threads_compiling_different_lengths(self, monkeypatch):
+    def test_threads_compiling_different_lengths(self):
         # Three threads (more than the cores of a small machine) take turns
-        # at compiling the longest program so far, so all of them grow the
-        # table, from a fresh one and with frequent thread switches.
+        # at compiling the longest program so far, so all of them fill the
+        # memos, from empty ones and with frequent thread switches.
         programs = [[parse_program(assembly(10 * k + j)) for k in range(1, 51)] for j in (0, 3, 6)]
         want = [[digest(compile_guarded(p)) for p in batch] for batch in programs]
-        monkeypatch.setattr(qasm, "_STEPS", ())
+        qasm._step.cache_clear()
+        qasm._action.cache_clear()
         compiled: list[list] = [[] for _ in programs]
 
         def compile_all(k: int) -> None:
@@ -160,7 +163,31 @@ class TestStepTableAcrossCompiles:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
         assert [[digest(expr) for expr in batch] for batch in compiled] == want
-        assert all(step.enter.value == Const(i) for i, step in enumerate(qasm._STEPS))
+        assert all(qasm._step(i).advance.value == Const(i + 1) for i in range(1, 507))
+
+
+class TestSharedActions:
+    def test_immediate_and_pool_address_share_one_action(self):
+        # With no symbols the pool starts at address 0, so #7 lives at [0].
+        pooled = parse_program("LOAD #7\nADD #7\nHALT\n")
+        direct = parse_program("LOAD [0]\nADD [0]\nHALT\n")
+        assert pooled.pool == {0: 7}
+        found = []
+        for program in (pooled, direct):
+            # Both products list HALT first, then ADD, then LOAD.
+            found.append(compile_sequential(program).factors[1:3])
+            definition = compile_guarded(program).factors[0]
+            assert type(definition) is Define
+            found.append(tuple(factor.base.factors[1] for factor in definition.body.factors[1:3]))
+        add, load = found[0]
+        assert sexpr(add) == "(Instruction ADD [0])"
+        assert sexpr(load) == "(Product (Copy Register (Mem 0)) (Clear Register))"
+        for actions in found[1:]:
+            assert actions[0] is add and actions[1] is load
+
+    def test_immediate_load_needs_a_pool(self):
+        with pytest.raises(ValueError, match="immediate operand needs a constant pool"):
+            instruction_operator(Instruction(Opcode.LOAD, immediate(3)))
 
 
 class TestInstructionHashing:

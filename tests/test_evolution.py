@@ -168,6 +168,10 @@ class TestDenseOracle:
         with pytest.raises(StateSpaceTooLarge):
             dense_oracle_evolve(h, unit(hop_seed()), 0.1, 5, bound=2)
 
+    def test_occupancy_bound(self):
+        with pytest.raises(StateSpaceTooLarge, match="oracle bound 64"):
+            dense_oracle_evolve(build_hop_hamiltonian(4), unit(BasisState(mem={0: 65})), 0.1, 1)
+
 
 class TestLadderViaRegister:
     @pytest.mark.parametrize("value", range(11))

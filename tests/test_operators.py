@@ -140,6 +140,26 @@ class TestExponents:
         state = BasisState(register=2, mem={4: 3})
         assert eval_exponent(Num(REGISTER) + Num(Mem(4)), state) == 5
         assert eval_exponent(2 * Num(REGISTER) - 1, state) == 3
+        assert eval_exponent(ExpMul(Theta(Num(REGISTER) - 2), ExpAdd(Num(Mem(4)), Const(1))), state) == 4
+
+    def test_non_exponent_is_a_type_error(self):
+        for bad in (Identity(), 3, ExpSub(Const(1), Identity())):
+            with pytest.raises(TypeError, match="not an exponent expression"):
+                eval_exponent(bad, BasisState())
+
+    def test_recursion_goes_through_the_module_name(self, monkeypatch):
+        from fockvm import operators
+
+        seen = []
+        plain = operators.eval_exponent
+
+        def counting(expr, state):
+            seen.append(type(expr).__name__)
+            return plain(expr, state)
+
+        monkeypatch.setattr(operators, "eval_exponent", counting)
+        assert operators.eval_exponent(ThetaTheta(Num(PC) - 4), BasisState(pc=4)) == 1
+        assert seen == ["ThetaTheta", "ExpSub", "Num", "Const"]
 
 
 class TestApplyExpr:
