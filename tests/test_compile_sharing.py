@@ -120,7 +120,9 @@ class TestStepTableAcrossCompiles:
 
     def test_step_holds_its_guard_and_advance(self):
         for length in (12, 40, 25):
-            compile_guarded(parse_program(assembly(length)))
+            definition = compile_guarded(parse_program(assembly(length))).factors[0].body
+            for i, factor in enumerate(reversed(definition.factors), start=1):
+                assert factor.exponent is qasm._step(i).guard
         for i in range(1, 41):
             step = qasm._step(i)
             assert step.guard == ThetaTheta(ExpSub(Num(PC), Const(i)))
