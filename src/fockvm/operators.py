@@ -367,14 +367,22 @@ class ScalarMul(OperatorExpr):
 class Product(OperatorExpr):
     """Operator product; the rightmost factor applies first.
 
-    Evaluation skips a factor ``GuardedPower(_, ThetaTheta(Num(PC) - c))``
-    while no live term has ``pc == c``, which is exactly the identity.
+    Evaluation runs a flat plan of the factors in application order, built
+    on first use (:func:`_plan`). A factor that is itself a ``Product`` is
+    expanded in place, which is exact because merging is idempotent on its
+    own output: the inner product's last merge only re-merged a merged
+    list. A factor ``GuardedPower(_, ThetaTheta(Num(PC) - c))`` applies its
+    base to the live terms with ``pc == c`` and passes the others through,
+    as the guard's 0/1 exponent would, without evaluating the guard; once
+    the terms have been merged it is skipped while no term has ``pc == c``,
+    which is exactly the identity.
     """
 
     factors: tuple[OperatorExpr, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
+        if type(self.factors) is not tuple:
+            object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("Product requires at least one factor")
 
@@ -384,7 +392,8 @@ class Sum(OperatorExpr):
     terms: tuple[OperatorExpr, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
+        if type(self.terms) is not tuple:
+            object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("Sum requires at least one term")
 
@@ -485,24 +494,52 @@ class EvalStats:
 
 
 def _pc_guard(factor: OperatorExpr) -> int | None:
-    """``c`` when ``factor`` is exactly ``GuardedPower(_, ThetaTheta(Num(PC) - c))``."""
-    if type(factor) is GuardedPower and type(factor.exponent) is ThetaTheta:
-        arg = factor.exponent.arg
-        if type(arg) is ExpSub and type(arg.right) is Const:
-            if type(arg.left) is Num and (arg.left.loc is PC or arg.left.loc == PC):
-                return arg.right.value
-    return None
+    """``c`` when ``factor`` is exactly ``GuardedPower(_, ThetaTheta(Num(PC) - c))``.
 
-
-def _pc_guards(expr: Product) -> tuple[int | None, ...]:
-    """The program-counter guard of each factor of ``expr`` in application
-    order, built on first use and kept on the node outside its fields."""
+    Worked out once per guard node and kept on it outside its fields, so a
+    guard that many compiles share is recognised once.
+    """
+    if type(factor) is not GuardedPower or type(factor.exponent) is not ThetaTheta:
+        return None
+    guard = factor.exponent
     try:
-        return expr._pc_guards
+        return guard._pc_guard
     except AttributeError:
-        guards = tuple(_pc_guard(factor) for factor in reversed(expr.factors))
-        object.__setattr__(expr, "_pc_guards", guards)
-        return guards
+        pass
+    c, arg = None, guard.arg
+    if type(arg) is ExpSub and type(arg.right) is Const:
+        if type(arg.left) is Num and (arg.left.loc is PC or arg.left.loc == PC):
+            c = arg.right.value
+    object.__setattr__(guard, "_pc_guard", c)
+    return c
+
+
+def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | None]]:
+    """The factors of ``expr`` in application order, nested products
+    expanded in place, and the program-counter guard of each (or None).
+
+    Built on first use and kept on ``expr`` outside its fields. Nested
+    products are expanded with an explicit stack, and the inner products
+    keep nothing, so a deep chain costs memory linear in its depth. The
+    factors are kept in a list, not a tuple, so a walk over node attributes
+    that follows tuples, as tree fields are, does not count them twice.
+    """
+    try:
+        return expr._plan
+    except AttributeError:
+        pass
+    factors = list(reversed(expr.factors))
+    if Product in map(type, factors):
+        factors, stack = [], list(expr.factors)
+        while stack:
+            factor = stack.pop()
+            if type(factor) is Product:
+                stack.extend(factor.factors)
+            else:
+                factors.append(factor)
+    plan = factors, list(map(_pc_guard, factors))
+    object.__setattr__(expr, "_plan", plan)
+    return plan
 
 
 def apply_primitive(op: Primitive, state: BasisState) -> list[tuple[complex, BasisState]]:
@@ -536,17 +573,28 @@ def _dispatch(
     # is a Primitive subclass, the bit-level ones included.
     kind = type(expr)
     if kind is Product:
-        # A factor guarded by ThetaTheta(Num(PC) - c) is the identity when no
-        # live term has pc == c, and combine is idempotent on its own output,
-        # so once the terms have been combined such a factor can be skipped.
+        # combine is idempotent on its own output, so once the terms have
+        # been combined a guarded factor no live term meets can be skipped.
         combined, pcs = False, None
-        for factor, c in zip(reversed(expr.factors), _pc_guards(expr)):
-            if combined and c is not None:
-                if pcs is None:
-                    pcs = {state.pc for _, state in terms}
-                if c not in pcs:
-                    continue
-            terms = combine(_dispatch(factor, terms, env, budget, tol, stats, halted), tol)
+        factors, guards = _plan(expr)
+        for factor, c in zip(factors, guards):
+            if c is None:
+                terms = _dispatch(factor, terms, env, budget, tol, stats, halted)
+            else:
+                if combined:
+                    if pcs is None:
+                        pcs = {state.pc for _, state in terms}
+                    if c not in pcs:
+                        continue
+                # The guard's 0/1 exponent, read off the program counter.
+                out = []
+                for term in terms:
+                    if term[1].pc == c:
+                        out.extend(_dispatch(factor.base, [term], env, budget, tol, stats, halted))
+                    else:
+                        out.append(term)
+                terms = out
+            terms = combine(terms, tol)
             combined, pcs = True, None
         return terms
 

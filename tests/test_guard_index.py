@@ -2,11 +2,13 @@
 
 The digests pin ``sexpr`` of ``compile_guarded`` output, so sharing
 subtrees inside a compile cannot change the printed form. The differential
-tests run each guarded tree twice: as compiled, where ``Product`` skips
-instruction factors whose guard no live term meets, and with every
-instruction guard rewritten as ``ThetaTheta(Const(0) + (Num(PC) - c))``,
-which the index does not recognise, so every factor is evaluated as the
-paper's product reads. Both runs must agree bit for bit.
+tests run each guarded tree as compiled, where ``Product`` runs a flat plan
+that expands nested products, fires instruction factors by program counter
+and skips those no live term meets, and against two rewrites of the same
+operator: every instruction guard as ``ThetaTheta(Const(0) + (Num(PC) - c))``,
+which the index does not recognise, so every factor's guard is evaluated as
+the paper's product reads; and every nested product wrapped as a one-term
+``Sum``, which the plan does not expand. All runs must agree bit for bit.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ from fockvm.operators import (
     GuardedPower,
     Num,
     Product,
+    Sum,
     ThetaTheta,
     apply_expr,
     apply_with_status,
@@ -105,6 +108,36 @@ def hide_guards(node):
         ):
             return GuardedPower(node.base, ThetaTheta(ExpAdd(Const(0), guard.arg)))
     return node
+
+
+def hide_nesting(node):
+    """``node`` with every ``Product`` factor that is itself a ``Product``
+    wrapped as the one-term ``Sum((inner,))``: the same operator, in a shape
+    the plan does not expand, so each inner product runs on its own and its
+    output is merged again one level up."""
+    if isinstance(node, Define):
+        return Define(node.label, hide_nesting(node.body))
+    if isinstance(node, GuardedPower):
+        return GuardedPower(hide_nesting(node.base), node.exponent)
+    if isinstance(node, Product):
+        factors = (hide_nesting(factor) for factor in node.factors)
+        return Product(tuple(Sum((f,)) if isinstance(f, Product) else f for f in factors))
+    return node
+
+
+def nest_steps(expr):
+    """``expr`` with its definition product regrouped into nested products
+    of at most three instruction factors, so instruction guards sit inside
+    inner products."""
+    factors = []
+    for factor in expr.factors:
+        if isinstance(factor, Define) and isinstance(factor.body, Product):
+            steps = factor.body.factors
+            chunks = [steps[i : i + 3] for i in range(0, len(steps), 3)]
+            body = Product(tuple(Product(c) if len(c) > 1 else c[0] for c in chunks))
+            factor = Define(factor.label, body)
+        factors.append(factor)
+    return Product(tuple(factors))
 
 
 def bits(terms) -> list:
@@ -196,13 +229,45 @@ class TestGuardIndexDifferential:
             evaluated.append(expr)
             return eval_exponent(expr, state)
 
+        def instruction_guards(exprs):
+            """(hidden, c) of each instruction guard among ``exprs``."""
+            found = []
+            for e in exprs:
+                if isinstance(e, ThetaTheta):
+                    hidden = isinstance(e.arg, ExpAdd)
+                    arg = e.arg.right if hidden else e.arg
+                    if isinstance(arg, ExpSub) and arg.left == Num(PC) and isinstance(arg.right, Const):
+                        found.append((hidden, arg.right.value))
+            return found
+
         monkeypatch.setattr(operators, "eval_exponent", counting)
-        counts = []
+        found = []
         for expr in (compile_guarded(program), hide_guards(compile_guarded(program))):
             evaluated.clear()
             apply_with_status(expr, unit(BasisState(input=(4,))))
-            counts.append(len(evaluated))
-        assert counts[0] < 400 < len(program) <= counts[1]
+            found.append(instruction_guards(evaluated))
+        # Indexed guards fire by program counter and are never evaluated;
+        # hidden ones are evaluated at every instruction factor.
+        assert found[0] == []
+        assert {c for hidden, c in found[1] if hidden} == set(range(1, len(program) + 1))
+        assert all(hidden for hidden, _ in found[1])
+
+    def test_hide_nesting_wraps_every_nested_product(self, data_dir):
+        def nested(node):
+            if isinstance(node, Define):
+                return nested(node.body)
+            if isinstance(node, GuardedPower):
+                return nested(node.base)
+            if isinstance(node, Sum):
+                return sum(map(nested, node.terms))
+            if isinstance(node, Product):
+                return sum(isinstance(f, Product) + nested(f) for f in node.factors)
+            return 0
+
+        expr = compile_guarded(parse_program((data_dir / "add.qasm").read_text()))
+        hidden = hide_nesting(expr)
+        assert nested(expr) > 0 and nested(hidden) == 0
+        assert sexpr(hidden).count("(Sum ") == nested(expr)
 
     def test_random_jumpy_programs(self):
         rng = random.Random(7070)
@@ -212,7 +277,8 @@ class TestGuardIndexDifferential:
             program = parse_program(text)
             fuel = rng.randrange(0, 6)
             expr = compile_guarded(program, fuel)
-            hidden = hide_guards(expr)
+            nested = nest_steps(expr)
+            others = [hide_guards(expr), hide_nesting(expr), nested, hide_nesting(nested)]
             # Three inputs that share a length, so the terms can take
             # different branches within one evaluation.
             starts = [
@@ -221,11 +287,13 @@ class TestGuardIndexDifferential:
             ]
             for start in (unit(starts[0]), merge([(0.6, starts[0]), (-0.8j, starts[1]), (0.5, starts[2])])):
                 got = outcome(expr, start, fuel)
-                assert got == outcome(hidden, start, fuel), text
+                for other in others:
+                    assert got == outcome(other, start, fuel), text
                 kinds.add(got[0] if isinstance(got[0], type) else "ran")
         assert len(kinds) >= 3
 
-    def test_run_superposed(self, monkeypatch):
+    @pytest.mark.parametrize("hide", [hide_guards, hide_nesting])
+    def test_run_superposed(self, monkeypatch, hide):
         # Four input-free programs that halt within the fuel, at least one
         # of them after a backward jump.
         rng = random.Random(31)
@@ -260,7 +328,7 @@ class TestGuardIndexDifferential:
             return bits(result.final.terms), result.steps_executed, counters
 
         plain = run(compile_guarded)
-        hidden = run(lambda program, fuel: hide_guards(compile_guarded(program, fuel)))
+        hidden = run(lambda program, fuel: hide(compile_guarded(program, fuel)))
         assert plain == hidden
         final, _, counters = plain
         assert final and counters[0][1] > 0

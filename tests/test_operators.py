@@ -188,6 +188,15 @@ class TestApplyExpr:
         with pytest.raises(NegativeExponent):
             apply_expr(GuardedPower(Identity(), Const(-1)), unit(BasisState()))
 
+    def test_deep_product_chain(self):
+        # Nested products run as one flat plan, so depth costs no frames,
+        # and only the evaluated product keeps a plan.
+        expr = Raise(REGISTER)
+        for _ in range(3000):
+            expr = Product((Identity(), expr))
+        assert apply_expr(expr, unit(BasisState())) == unit(BasisState(register=1))
+        assert "_plan" in vars(expr) and "_plan" not in vars(expr.factors[1])
+
     def test_sum_distributes_and_merges(self):
         s = unit(BasisState(register=1))
         expr = summation(scaled(0.5, Identity()), scaled(0.5, Identity()))
