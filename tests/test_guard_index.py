@@ -292,8 +292,14 @@ class TestGuardIndexDifferential:
                 kinds.add(got[0] if isinstance(got[0], type) else "ran")
         assert len(kinds) >= 3
 
-    @pytest.mark.parametrize("hide", [hide_guards, hide_nesting])
-    def test_run_superposed(self, monkeypatch, hide):
+    def test_run_superposed(self, monkeypatch):
+        self.check_run_superposed(monkeypatch, hide_guards)
+
+    def test_run_superposed_nesting(self, monkeypatch):
+        self.check_run_superposed(monkeypatch, hide_nesting)
+
+    @staticmethod
+    def check_run_superposed(monkeypatch, hide):
         # Four input-free programs that halt within the fuel, at least one
         # of them after a backward jump.
         rng = random.Random(31)
