@@ -19,6 +19,7 @@ from . import bitlevel, evolution, grammar, qasm, qcc
 from .errors import JumpsNotSupported, MachineError, ParseError
 from .operators import sexpr
 from .state import (
+    SIGNIFICANT_DIGITS,
     BasisState,
     deserialize,
     parse_amplitude,
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".12g")
+    return format(x, f".{SIGNIFICANT_DIGITS}g")
 
 
 def _read(path: str) -> str:

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
-from typing import Mapping, Union
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterator, Mapping, Union
 
 from . import isa
 from .errors import (
@@ -58,7 +58,7 @@ from .errors import (
     UndefinedReference,
     UnsupportedLocation,
 )
-from .state import DROP_TOLERANCE, BasisState, Superposition, combine, merge
+from .state import DROP_TOLERANCE, SIGNIFICANT_DIGITS, BasisState, Superposition, combine, merge
 
 #: Default budget of re-entry passes, matching the default fuel counter.
 DEFAULT_FUEL_BUDGET = 10
@@ -711,25 +711,32 @@ def apply_expr(
     re-entry attempted with no budget left raises :class:`FuelExhausted`.
     """
     live, halted = apply_with_status(expr, s, fuel_budget, stats=stats)
-    return merge(live.terms + halted.terms)
+    # Merging is idempotent, so live terms alone need no second merge.
+    return merge(live.terms + halted.terms) if halted.terms else live
+
+
+END = object()  # yielded by walk after the fields of each node
+
+
+def walk(root: object) -> Iterator[object]:
+    """Pre-order walk over dataclass fields, from an explicit stack: each node,
+    then its field values (tuples flattened), then ``END``. ``Const``,
+    ``Location`` and instructions are leaves; values cached on nodes are unseen."""
+    stack = [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(reversed(item))
+        else:
+            yield item
+            if is_dataclass(item) and not isinstance(item, (Const, Location, isa.Instruction)):
+                stack.append(END)
+                stack.extend(getattr(item, field.name) for field in reversed(fields(item)))
 
 
 def locations(node: object) -> set[Location]:
     """Every location referenced anywhere in an operator or exponent tree."""
-    found: set[Location] = set()
-
-    def walk(obj: object) -> None:
-        if isinstance(obj, Location):
-            found.add(obj)
-        elif isinstance(obj, (OperatorExpr, ExponentExpr)):
-            for field in fields(obj):
-                walk(getattr(obj, field.name))
-        elif isinstance(obj, tuple):
-            for item in obj:
-                walk(item)
-
-    walk(node)
-    return found
+    return {item for item in walk(node) if isinstance(item, Location)}
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +744,11 @@ def locations(node: object) -> set[Location]:
 
 
 def _format_scalar(value: complex) -> str:
-    re = format(value.real, ".12g")
+    spec = f".{SIGNIFICANT_DIGITS}g"
+    re = format(value.real, spec)
     if value.imag == 0:
         return re
-    return f"({re},{format(value.imag, '.12g')})"
+    return f"({re},{format(value.imag, spec)})"
 
 
 #: Printed names of the node classes whose name differs from the class name.
@@ -759,22 +767,20 @@ def sexpr(node: object) -> str:
     A node prints as ``(Name field ...)`` over its fields in declaration
     order; a constant exponent prints as its bare value.
     """
-    if isinstance(node, (OperatorExpr, ExponentExpr)):
-        if isinstance(node, Const):
-            return str(node.value)
-        name = _SEXPR_NAMES.get(type(node)) or type(node).__name__
-        values = (getattr(node, field.name) for field in fields(node))
-        return "(" + " ".join([name, *map(sexpr, values)]) + ")"
-    if isinstance(node, Location):
-        return str(node)
-    if isinstance(node, tuple):
-        return " ".join(sexpr(item) for item in node)
-    if isinstance(node, str):
-        return node
-    if isinstance(node, (complex, float, int)):
-        return _format_scalar(node)
-    if isinstance(node, isa.Instruction):
-        if node.operand is None:
-            return node.opcode.value
-        return f"{node.opcode.value} {node.operand}"
-    raise TypeError(f"cannot print {node!r}")
+    words = []
+    for item in walk(node):
+        if item is END:
+            words.append(")")
+        elif isinstance(item, Const):
+            words.append(f" {item.value}")
+        elif isinstance(item, (OperatorExpr, ExponentExpr)):
+            words.append(" (" + (_SEXPR_NAMES.get(type(item)) or type(item).__name__))
+        elif isinstance(item, (Location, str)):
+            words.append(f" {item}")
+        elif isinstance(item, (complex, float, int)):
+            words.append(" " + _format_scalar(item))
+        elif isinstance(item, isa.Instruction):
+            words.append(f" {item.opcode.value}" + (f" {item.operand}" if item.operand else ""))
+        else:
+            raise TypeError(f"cannot print {item!r}")
+    return "".join(words)[1:]

@@ -57,6 +57,7 @@ from .isa import (
     register_action,
 )
 from .operators import (
+    DEFAULT_FUEL_BUDGET,
     FUEL,
     IN,
     OUT,
@@ -87,7 +88,7 @@ from .operators import (
 from .state import BasisState, Superposition, merge, unit
 
 DEFAULT_STEP_LIMIT = 10**6
-DEFAULT_FUEL = 10
+DEFAULT_FUEL = DEFAULT_FUEL_BUDGET
 NORM_TOLERANCE = 1e-9
 
 _DEFINITION_LABEL = "program"

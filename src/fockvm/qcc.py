@@ -30,7 +30,7 @@ instruction layer; both lowerings agree on number eigenstates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import ParseError, UndefinedLabel, UnknownVariable, UnsupportedConstruct
@@ -47,6 +47,7 @@ from .operators import (
     as_exponent,
     scaled,
     summation,
+    walk,
 )
 from .qasm import Program, build_pool
 
@@ -656,13 +657,7 @@ def uses_pointers(ast: CAst) -> bool:
     Lowered pointer code bakes address values into immediates, so its
     listing must print raw addresses to reassemble faithfully.
     """
-    pending: list[object] = list(ast.statements)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (AddressOf, Deref, DerefAssign)):
-            return True
-        pending.extend(value for value in vars(node).values() if is_dataclass(value))
-    return False
+    return any(isinstance(node, (AddressOf, Deref, DerefAssign)) for node in walk(ast))
 
 
 # ---------------------------------------------------------------------------

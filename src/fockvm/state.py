@@ -338,6 +338,8 @@ def deserialize(text: str) -> Superposition:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ParseError("state text nests too deeply") from None
     if not isinstance(records, list):
         raise ParseError("state text must be a JSON list of term records")
     terms = []

@@ -505,10 +505,19 @@ _STATE_RECORD = st.fixed_dictionaries(
         "other": _JSON_SCALARS,
     },
 )
+# Lists or objects nested deeper than the JSON decoder's recursion allows.
+_DEEP_JSON = st.builds(
+    lambda depth, nest: nest[0] * depth + nest[1] + nest[2] * depth,
+    st.integers(1000, 5000),
+    st.sampled_from([("[", "", "]"), ('{"a": ', "0", "}")]),
+)
 _STATE = _mostly(
     st.lists(_STATE_RECORD, max_size=3).map(json.dumps),
-    st.lists(st.sampled_from(["[", "]", "{", "}", ",", ":", '"amplitude"', '"mem"', '"0"',
-                              "[1, 0]", "NaN", "Infinity", "1e400", "null"]), max_size=12).map(" ".join),
+    st.one_of(
+        st.lists(st.sampled_from(["[", "]", "{", "}", ",", ":", '"amplitude"', '"mem"', '"0"',
+                                  "[1, 0]", "NaN", "Infinity", "1e400", "null"]), max_size=12).map(" ".join),
+        _DEEP_JSON,
+    ),
 )
 _RUN = ("--input", "1,2,3", "--fuel", "2", "--step-limit", "30")
 _CONTRACT_CASES = {

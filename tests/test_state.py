@@ -337,6 +337,13 @@ class TestSerialization:
             deserialize("[{bad json\n}]")
         assert err.value.line is not None and err.value.column is not None
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 3000 + "]" * 3000, '{"a": ' * 3000 + "0" + "}" * 3000], ids=["list", "object"]
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            deserialize(text)
+
     def test_schema_errors(self):
         with pytest.raises(ParseError):
             deserialize('[{"amplitude": [1.0], "register": 0}]')
