@@ -1,8 +1,10 @@
 """Machine states, superpositions, and measurement statistics.
 
 A basis state is one classical machine configuration: the register, the
-program counter, a recursion counter ("fuel"), a sparse memory map, and the
-two I/O streams. All stored values are exact nonnegative Python integers of
+program counter, a recursion counter ("fuel"), a sparse memory, and the
+two I/O streams. Memory lives only in one tuple of (address, value) pairs
+sorted by address, with zero cells left out; reads and writes find a cell
+by bisection. All stored values are exact nonnegative Python integers of
 arbitrary size; amplitudes are double-precision complex numbers. Basis
 vectors are unit norm by construction.
 
@@ -13,7 +15,8 @@ copies were checked when their source state was built.
 
 Superpositions are finite lists of (amplitude, basis state) terms kept in a
 canonical form: identical states merged, near-zero amplitudes dropped, terms
-sorted lexicographically on (register, pc, fuel, mem, input, output).
+sorted lexicographically on the fields in declaration order (register, pc,
+fuel, mem, input, output), which is the order ``order=True`` defines.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import cmath
 import json
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from dataclasses import dataclass, fields
+from functools import cache
+from operator import attrgetter, itemgetter
 from typing import TypeVar
 
 from .errors import EmptyState, InputExhausted, NonFiniteAmplitude, ParseError
@@ -46,7 +50,7 @@ def _check_counter(name: str, value: object, addr: int | None = None) -> int:
     """Reject a value that is not a nonnegative integer. ``addr`` names the
     memory cell a value is stored at; the message is built only on failure."""
     if isinstance(value, bool) or not isinstance(value, int):
-        error, problem = TypeError, f"must be an integer, got {value!r}"
+        error, problem = TypeError, f"must be an integer, got {type(value).__name__}"
     elif value < 0:
         error, problem = ValueError, f"must be nonnegative, got {value}"
     else:
@@ -60,8 +64,9 @@ class BasisState:
     """One classical machine configuration.
 
     ``mem`` may be given as a mapping or as (address, value) pairs; it is
-    normalized to a sorted tuple with all zero entries removed, so two states
-    with the same contents always compare and hash equal. ``input`` holds
+    normalized to a tuple sorted by address with all zero entries removed,
+    so two states with the same contents always compare and hash equal. The
+    tuple is the only copy of the memory: no map is cached beside it. ``input`` holds
     the not-yet-consumed input values, ``output`` the values emitted so far.
 
     The constructor validates every field and is the one entry for outside
@@ -97,21 +102,20 @@ class BasisState:
                 _check_counter(f"{field} value", v)
             object.__setattr__(self, field, stream)
 
-    @cached_property
-    def _mem_map(self) -> dict[int, int]:
-        return dict(self.mem)
-
     def _derive(self, **changes) -> "BasisState":
         """A copy of this state with ``changes`` written over its fields,
-        built without re-validation. The parent's cached memory map is
-        shared unless ``changes`` replaces it; no map is ever mutated."""
+        built without re-validation. The fields are immutable tuples and
+        integers, so the copy shares them with this state."""
         new = object.__new__(BasisState)
         vars(new).update(vars(self), **changes)
         return new
 
     def mem_value(self, addr: int) -> int:
         """Value stored at ``addr``; absent addresses read as zero."""
-        return self._mem_map.get(addr, 0)
+        # (addr,) sorts just before (addr, value), so bisection finds the cell.
+        mem = self.mem
+        i = bisect_left(mem, (addr,))
+        return mem[i][1] if i < len(mem) and mem[i][0] == addr else 0
 
     def with_register(self, value: int) -> "BasisState":
         return self._derive(register=_check_counter("register", value))
@@ -125,12 +129,11 @@ class BasisState:
     def with_mem(self, addr: int, value: int) -> "BasisState":
         _check_counter("memory address", addr)
         _check_counter("memory value", value, addr)
-        items = dict(self._mem_map)
-        if value > 0:
-            items[addr] = value
-        else:
-            items.pop(addr, None)
-        return self._derive(mem=tuple(sorted(items.items())), _mem_map=items)
+        mem = self.mem
+        i = bisect_left(mem, (addr,))
+        end = i + 1 if i < len(mem) and mem[i][0] == addr else i
+        cell = ((addr, value),) if value > 0 else ()
+        return self._derive(mem=mem[:i] + cell + mem[end:])
 
     def pop_input(self) -> tuple[int, "BasisState"]:
         """Consume the head of the input stream."""
@@ -179,6 +182,14 @@ def unit(state: BasisState) -> Superposition:
     return Superposition(((1.0 + 0j, state),))
 
 
+@cache
+def _order_key(cls: type) -> attrgetter:
+    """The sort key of an ``order=True`` dataclass: its compared fields in
+    declaration order, read in C. Keys order exactly as the instances do,
+    and distinct instances have distinct keys."""
+    return attrgetter(*(f.name for f in fields(cls) if f.compare))
+
+
 def combine(terms: list[tuple[complex, _S]], drop_tolerance: float) -> list[tuple[complex, _S]]:
     """Sum the amplitudes of identical states, drop sums whose modulus falls
     below ``drop_tolerance``, and sort the survivors by state.
@@ -187,18 +198,28 @@ def combine(terms: list[tuple[complex, _S]], drop_tolerance: float) -> list[tupl
     sum steps, and the bit-level machine. A tolerance of ``math.ulp(0.0)``
     drops exact zeros only. Every sum starts from ``0j``, which also turns
     a signed zero into ``+0``, so the output is its own fixed point.
+
+    States are ``order=True`` dataclasses (:class:`BasisState` or the
+    bit-level ``BitBasisState``). Terms are summed and sorted on the tuple
+    of each state's compared fields in declaration order, read in C by
+    :func:`_order_key`: that tuple is equal, hashes and orders exactly as
+    the state does, so the canonical order is the field order. The first
+    state seen for each tuple is the one kept.
     """
     if len(terms) == 1:
         # The common case of a deterministic run: nothing to sum or sort.
         [(amp, state)] = terms
         amp = 0j + amp
         return [(amp, state)] if abs(amp) >= drop_tolerance else []
-    acc: dict[_S, complex] = {}
+    if not terms:
+        return []
+    key = _order_key(type(terms[0][1]))
+    acc: dict[object, list] = {}
     for amp, state in terms:
-        acc[state] = acc.get(state, 0j) + amp
-    kept = [(amp, state) for state, amp in acc.items() if abs(amp) >= drop_tolerance]
-    kept.sort(key=itemgetter(1))
-    return kept
+        acc.setdefault(key(state), [0j, state])[0] += amp
+    kept = [(k, slot) for k, slot in acc.items() if abs(slot[0]) >= drop_tolerance]
+    kept.sort(key=itemgetter(0))
+    return [(amp, state) for _, (amp, state) in kept]
 
 
 def merge(
@@ -327,12 +348,21 @@ def serialize(s: Superposition) -> str:
 #: The scalar and stream fields of a term record, each optional.
 _STATE_FIELDS = ("register", "pc", "fuel", "input", "output")
 
+#: The most characters of an error's own text a parse error quotes.
+_QUOTE_LIMIT = 100
+
+
+def _clip(text: str) -> str:
+    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
+
 
 def deserialize(text: str) -> Superposition:
     """Parse the canonical text form back into a superposition.
 
     Raises :class:`ParseError` with line and column information on malformed
-    JSON, and without position on schema violations.
+    JSON, and without position on schema violations. A schema error names
+    the term record by its index and an offending value by its type, so the
+    message stays one short line whatever the file holds.
     """
     try:
         records = json.loads(text)
@@ -340,35 +370,39 @@ def deserialize(text: str) -> Superposition:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise ParseError("state text nests too deeply") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError("state text holds an integer with too many digits") from None
     if not isinstance(records, list):
         raise ParseError("state text must be a JSON list of term records")
     terms = []
-    for record in records:
+    for index, record in enumerate(records):
+        where = f"term record {index}"
         if not isinstance(record, dict):
-            raise ParseError(f"term record must be an object, got {record!r}")
+            raise ParseError(f"{where} must be an object, got {type(record).__name__}")
         amp = record.get("amplitude")
         if (
             not isinstance(amp, list)
             or len(amp) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in amp)
         ):
-            raise ParseError(f"amplitude must be a [re, im] number pair, got {amp!r}")
+            raise ParseError(f"{where}: amplitude must be a [re, im] number pair, got {type(amp).__name__}")
         try:
             amplitude = complex(amp[0], amp[1])
             finite = cmath.isfinite(amplitude)
         except OverflowError:  # an integer part beyond the float range
             finite = False
         if not finite:
-            raise ParseError(f"amplitude must be finite, got {amp!r}")
+            raise ParseError(f"{where}: amplitude must be finite")
         mem = record.get("mem", {})
         if not isinstance(mem, dict):
-            raise ParseError("field 'mem' must be an address:value object")
+            raise ParseError(f"{where}: field 'mem' must be an address:value object")
         if not all(isinstance(record.get(key, []), list) for key in ("input", "output")):
-            raise ParseError("fields 'input' and 'output' must be lists")
-        fields = {key: record[key] for key in _STATE_FIELDS if key in record}
+            raise ParseError(f"{where}: fields 'input' and 'output' must be lists")
+        given = {key: record[key] for key in _STATE_FIELDS if key in record}
         try:
-            state = BasisState(mem={int(addr): value for addr, value in mem.items()}, **fields)
+            # Pairs, not a dict, so that "1" and "01" are a duplicate address.
+            state = BasisState(mem=[(int(addr), value) for addr, value in mem.items()], **given)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad term record: {exc}") from None
+            raise ParseError(f"{where}: {_clip(str(exc))}") from None
         terms.append((amplitude, state))
     return merge(terms)

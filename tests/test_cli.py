@@ -170,6 +170,19 @@ class TestExitCodes:
         assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" + "[" * 959 + "]" * 959 + "]", '[{"amplitude": [1, 0], "fuel": "' + "x" * 2**20 + '"}]'],
+        ids=["deep", "long"],
+    )
+    def test_bad_state_file_gives_one_short_line(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.state"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "sample", str(path), "--count", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: ") and err.count("\n") == 1 and len(err) < 200
+
+
 class TestAssembleCompile:
     def test_assemble_listing(self, capsys, data_dir):
         code, out, _ = run_cli(capsys, "assemble", str(data_dir / "add.qasm"))

@@ -1,9 +1,11 @@
 import math
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockvm.bitlevel import BitBasisState
 from fockvm.errors import EmptyState, InputExhausted, NonFiniteAmplitude, ParseError
 from fockvm.state import (
     BasisState,
@@ -154,6 +156,104 @@ class TestUpdatesMatchConstructor:
             assert all(value > 0 for _, value in state.mem)
             for addr in touched:
                 assert state.mem_value(addr) == rebuilt.mem_value(addr)
+
+
+def parent_combine(terms, drop_tolerance):
+    """The merge as first written: a dict sum of amplitudes, then a sort on
+    the states themselves, which ``order=True`` compares field by field."""
+    acc = {}
+    for amp, state in terms:
+        acc[state] = acc.get(state, 0j) + amp
+    kept = [(amp, state) for state, amp in acc.items() if abs(amp) >= drop_tolerance]
+    kept.sort(key=itemgetter(1))
+    return kept
+
+
+def bits(amp_values):
+    return [(type(amp), amp.real.hex(), amp.imag.hex()) for amp in amp_values]
+
+
+# States that tie on register, pc and fuel, so the order is decided by the
+# memory tuple and the streams alone.
+tied_states = st.builds(
+    BasisState,
+    register=st.just(1),
+    pc=st.just(2),
+    fuel=st.just(0),
+    mem=st.dictionaries(st.integers(0, 4), st.integers(0, 3), max_size=3),
+    input=st.lists(st.integers(0, 2), max_size=2).map(tuple),
+    output=st.lists(st.integers(0, 2), max_size=2).map(tuple),
+)
+bit_states = st.integers(1, 4).flatmap(
+    lambda n: st.builds(BitBasisState, st.integers(0, 1), st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple))
+)
+signed_amplitudes = st.sampled_from([1.0, -1.0, 0.5j, -0.5j, 0.25 - 0.75j, -0.0, complex(-0.0, -0.0), 1e-13])
+
+
+class TestCombineOrder:
+    """``combine`` sums and sorts on the tuple of compared fields; the
+    reference sums in a dict of states and sorts on the states."""
+
+    @pytest.mark.parametrize("state_strategy", [tied_states, bit_states], ids=["basis", "bit"])
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_matches_the_state_sorted_merge(self, state_strategy, data):
+        terms = data.draw(st.lists(st.tuples(signed_amplitudes, state_strategy), max_size=12))
+        tolerance = data.draw(st.sampled_from([1e-12, math.ulp(0.0), 0.0]))
+        got = combine(list(terms), tolerance)
+        want = parent_combine(list(terms), tolerance)
+        assert [state for _, state in got] == [state for _, state in want]
+        assert bits(amp for amp, _ in got) == bits(amp for amp, _ in want)
+        # The first state object seen for each value is the one kept.
+        assert all(g is w for (_, g), (_, w) in zip(got, want))
+
+
+# The address window of the pointer workload, and values that include zero.
+window_addresses = st.integers(0, 300)
+cells = st.dictionaries(window_addresses, st.integers(1, 9), max_size=40)
+
+
+class TestMemoryCells:
+    """``mem_value`` and ``with_mem`` against a dict model of the memory."""
+
+    @given(cells, st.lists(st.tuples(window_addresses, st.integers(0, 9)), max_size=30))
+    @settings(max_examples=150)
+    def test_reads_and_writes_match_a_dict(self, start, writes):
+        state, model = BasisState(mem=start), dict(start)
+        for addr, value in writes:
+            state = state.with_mem(addr, value)
+            if value:
+                model[addr] = value
+            else:
+                model.pop(addr, None)
+            assert state.mem == tuple(sorted(model.items()))
+        for addr in {0, 150, 300, *model, *(a + 1 for a in model)}:
+            assert state.mem_value(addr) == model.get(addr, 0)
+
+    @pytest.mark.parametrize(
+        "addr", [0, 5, 10, 299, 300, 7], ids=["before-first", "first", "middle", "last", "after-last", "absent"]
+    )
+    @pytest.mark.parametrize("value", [0, 4])
+    def test_first_last_middle_and_absent_cells(self, addr, value):
+        state = BasisState(mem={5: 1, 10: 2, 299: 3})
+        model = {5: 1, 10: 2, 299: 3}
+        updated = state.with_mem(addr, value)
+        if value:
+            model[addr] = value
+        else:
+            model.pop(addr, None)
+        assert updated.mem == tuple(sorted(model.items()))
+        assert updated == BasisState(mem=model)
+        assert [updated.mem_value(a) for a in (0, 5, 10, 299, 300, addr)] == [
+            model.get(a, 0) for a in (0, 5, 10, 299, 300, addr)
+        ]
+        assert state.mem == ((5, 1), (10, 2), (299, 3))
+
+    def test_clearing_every_cell_leaves_an_empty_memory(self):
+        state = BasisState(mem={0: 1, 150: 2, 300: 3})
+        for addr in (150, 0, 300):
+            state = state.with_mem(addr, 0)
+        assert state.mem == () and state == BasisState()
 
 
 class TestMerge:
@@ -369,6 +469,45 @@ class TestSerialization:
     def test_field_schema_errors(self, fields):
         with pytest.raises(ParseError):
             deserialize(f"[{{{fields}}}]")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" + "[" * 959 + "]" * 959 + "]",
+            '[{"amplitude": ' + "[" * 958 + "]" * 958 + "}]",
+            '[{"amplitude": [1, 0], "register": ' + "[" * 958 + "]" * 958 + "}]",
+            '[{"amplitude": [1, 0], "mem": {"0": ' + "[" * 957 + "]" * 957 + "}}]",
+            '[{"amplitude": [1, 0], "input": [' + "[" * 957 + "]" * 957 + "]}]",
+            '["' + "x" * 2**20 + '"]',
+            '[{"amplitude": "' + "x" * 2**20 + '"}]',
+            '[{"amplitude": [1, 0], "pc": "' + "x" * 2**20 + '"}]',
+            '[{"amplitude": [1, 0], "mem": {"' + "x" * 2**20 + '": 1}}]',
+            '[{"amplitude": [1, 0], "mem": {"' + "1" * 4000 + '": -1}}]',
+            '[{"amplitude": [1, 0], "register": -' + "9" * 4000 + "}]",
+            '[{"amplitude": [1, 0], "register": ' + "9" * 5000 + "}]",
+            '[{"amplitude": [' + "9" * 4000 + ", 0]}]",
+        ],
+        ids=[
+            "deep-record", "deep-amplitude", "deep-register", "deep-mem-value", "deep-input",
+            "long-record", "long-amplitude", "long-pc", "long-mem-address",
+            "long-address-number", "long-negative-register", "over-digit-limit", "huge-amplitude",
+        ],
+    )
+    def test_schema_errors_are_one_short_line(self, text):
+        with pytest.raises(ParseError) as err:
+            deserialize(text)
+        message = str(err.value)
+        assert len(message) < 200 and "\n" not in message
+
+    def test_schema_errors_name_the_record_and_the_type(self):
+        with pytest.raises(ParseError, match=r"^term record 1 must be an object, got list$"):
+            deserialize('[{"amplitude": [1, 0]}, [[[0]]]]')
+        with pytest.raises(ParseError, match=r"^term record 0: register must be an integer, got str$"):
+            deserialize('[{"amplitude": [1, 0], "register": "7"}]')
+
+    def test_addresses_that_name_one_cell_are_a_duplicate(self):
+        with pytest.raises(ParseError, match="duplicate memory address 1"):
+            deserialize('[{"amplitude": [1, 0], "mem": {"1": 5, "01": 2}}]')
 
     @pytest.mark.parametrize("amp", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 0]", "[1e400, 0]", f"[{10**400}, 0]"])
     def test_non_finite_amplitude_is_a_parse_error(self, amp):
