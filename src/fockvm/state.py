@@ -1,12 +1,10 @@
 """Machine states, superpositions, and measurement statistics.
 
 A basis state is one classical machine configuration: the register, the
-program counter, a recursion counter ("fuel"), a sparse memory, and the
-two I/O streams. Memory lives only in one tuple of (address, value) pairs
-sorted by address, with zero cells left out; reads and writes find a cell
-by bisection. All stored values are exact nonnegative Python integers of
-arbitrary size; amplitudes are double-precision complex numbers. Basis
-vectors are unit norm by construction.
+program counter, a recursion counter ("fuel"), a sparse memory held only as
+its nonzero (address, value) cells sorted by address, and the two I/O
+streams. Stored values are exact nonnegative integers of any size;
+amplitudes are complex doubles. Basis vectors are unit norm by construction.
 
 A basis state is validated once, when it is constructed. An update
 (``with_register``, ``with_mem``, ``pop_input`` and the rest) derives a new
@@ -15,8 +13,8 @@ copies were checked when their source state was built.
 
 Superpositions are finite lists of (amplitude, basis state) terms kept in a
 canonical form: identical states merged, near-zero amplitudes dropped, terms
-sorted lexicographically on the fields in declaration order (register, pc,
-fuel, mem, input, output), which is the order ``order=True`` defines.
+sorted on the fields in declaration order (register, pc, fuel, mem, input,
+output), the order ``order=True`` defines.
 """
 
 from __future__ import annotations
@@ -65,8 +63,8 @@ class BasisState:
 
     ``mem`` may be given as a mapping or as (address, value) pairs; it is
     normalized to a tuple sorted by address with all zero entries removed,
-    so two states with the same contents always compare and hash equal. The
-    tuple is the only copy of the memory: no map is cached beside it. ``input`` holds
+    so two states with the same contents always compare and hash equal; it
+    is the only copy of the memory, read by bisection. ``input`` holds
     the not-yet-consumed input values, ``output`` the values emitted so far.
 
     The constructor validates every field and is the one entry for outside
@@ -103,9 +101,7 @@ class BasisState:
             object.__setattr__(self, field, stream)
 
     def _derive(self, **changes) -> "BasisState":
-        """A copy of this state with ``changes`` written over its fields,
-        built without re-validation. The fields are immutable tuples and
-        integers, so the copy shares them with this state."""
+        """A copy with ``changes`` written over its fields, not re-validated."""
         new = object.__new__(BasisState)
         vars(new).update(vars(self), **changes)
         return new
@@ -184,9 +180,8 @@ def unit(state: BasisState) -> Superposition:
 
 @cache
 def _order_key(cls: type) -> attrgetter:
-    """The sort key of an ``order=True`` dataclass: its compared fields in
-    declaration order, read in C. Keys order exactly as the instances do,
-    and distinct instances have distinct keys."""
+    """Read an ``order=True`` dataclass's compared fields in declaration
+    order, in C: the tuple equals, hashes and orders as the instance does."""
     return attrgetter(*(f.name for f in fields(cls) if f.compare))
 
 
@@ -197,29 +192,20 @@ def combine(terms: list[tuple[complex, _S]], drop_tolerance: float) -> list[tupl
     The one merge kernel behind :func:`merge`, the evaluator's product and
     sum steps, and the bit-level machine. A tolerance of ``math.ulp(0.0)``
     drops exact zeros only. Every sum starts from ``0j``, which also turns
-    a signed zero into ``+0``, so the output is its own fixed point.
-
-    States are ``order=True`` dataclasses (:class:`BasisState` or the
-    bit-level ``BitBasisState``). Terms are summed and sorted on the tuple
-    of each state's compared fields in declaration order, read in C by
-    :func:`_order_key`: that tuple is equal, hashes and orders exactly as
-    the state does, so the canonical order is the field order. The first
-    state seen for each tuple is the one kept.
+    a signed zero into ``+0``, so the output is its own fixed point. States
+    are summed and sorted on their :func:`_order_key`: the field order.
     """
     if len(terms) == 1:
         # The common case of a deterministic run: nothing to sum or sort.
         [(amp, state)] = terms
         amp = 0j + amp
         return [(amp, state)] if abs(amp) >= drop_tolerance else []
-    if not terms:
-        return []
-    key = _order_key(type(terms[0][1]))
+    key = _order_key(type(terms[0][1])) if terms else None
     acc: dict[object, list] = {}
     for amp, state in terms:
         acc.setdefault(key(state), [0j, state])[0] += amp
-    kept = [(k, slot) for k, slot in acc.items() if abs(slot[0]) >= drop_tolerance]
-    kept.sort(key=itemgetter(0))
-    return [(amp, state) for _, (amp, state) in kept]
+    ordered = sorted(acc.items(), key=itemgetter(0))
+    return [(amp, state) for _, (amp, state) in ordered if abs(amp) >= drop_tolerance]
 
 
 def merge(
@@ -348,21 +334,14 @@ def serialize(s: Superposition) -> str:
 #: The scalar and stream fields of a term record, each optional.
 _STATE_FIELDS = ("register", "pc", "fuel", "input", "output")
 
-#: The most characters of an error's own text a parse error quotes.
-_QUOTE_LIMIT = 100
-
-
-def _clip(text: str) -> str:
-    return text if len(text) <= _QUOTE_LIMIT else text[: _QUOTE_LIMIT - 3] + "..."
 
 
 def deserialize(text: str) -> Superposition:
     """Parse the canonical text form back into a superposition.
 
     Raises :class:`ParseError` with line and column information on malformed
-    JSON, and without position on schema violations. A schema error names
-    the term record by its index and an offending value by its type, so the
-    message stays one short line whatever the file holds.
+    JSON, and without position on schema violations, naming the term record
+    by index and a bad value by type so the message stays one short line.
     """
     try:
         records = json.loads(text)
@@ -385,7 +364,7 @@ def deserialize(text: str) -> Superposition:
             or len(amp) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in amp)
         ):
-            raise ParseError(f"{where}: amplitude must be a [re, im] number pair, got {type(amp).__name__}")
+            raise ParseError(f"{where}: amplitude must be a [re, im] pair, got {type(amp).__name__}")
         try:
             amplitude = complex(amp[0], amp[1])
             finite = cmath.isfinite(amplitude)
@@ -403,6 +382,6 @@ def deserialize(text: str) -> Superposition:
             # Pairs, not a dict, so that "1" and "01" are a duplicate address.
             state = BasisState(mem=[(int(addr), value) for addr, value in mem.items()], **given)
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: {_clip(str(exc))}") from None
+            raise ParseError(f"{where}: {str(exc)[:100]}") from None  # it may quote the input
         terms.append((amplitude, state))
     return merge(terms)
