@@ -172,8 +172,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        ["[" + "[" * 959 + "]" * 959 + "]", '[{"amplitude": [1, 0], "fuel": "' + "x" * 2**20 + '"}]'],
-        ids=["deep", "long"],
+        [
+            "[" + "[" * 959 + "]" * 959 + "]",
+            '[{"amplitude": [1, 0], "fuel": "' + "x" * 2**20 + '"}]',
+            '[{"amplitude": [1, 0], "register": ' + "1" * 5000 + "}]",
+        ],
+        ids=["deep", "long", "over-digit-limit"],
     )
     def test_bad_state_file_gives_one_short_line(self, capsys, tmp_path, text):
         path = tmp_path / "bad.state"
