@@ -158,9 +158,9 @@ class TestUpdatesMatchConstructor:
                 assert state.mem_value(addr) == rebuilt.mem_value(addr)
 
 
-def parent_combine(terms, drop_tolerance):
-    """The merge as first written: a dict sum of amplitudes, then a sort on
-    the states themselves, which ``order=True`` compares field by field."""
+def reference_combine(terms, drop_tolerance):
+    """The plain merge: a dict of amplitudes summed per state, then a sort
+    on the states themselves, which ``order=True`` compares field by field."""
     acc = {}
     for amp, state in terms:
         acc[state] = acc.get(state, 0j) + amp
@@ -201,14 +201,14 @@ class TestCombineOrder:
         terms = data.draw(st.lists(st.tuples(signed_amplitudes, state_strategy), max_size=12))
         tolerance = data.draw(st.sampled_from([1e-12, math.ulp(0.0), 0.0]))
         got = combine(list(terms), tolerance)
-        want = parent_combine(list(terms), tolerance)
+        want = reference_combine(list(terms), tolerance)
         assert [state for _, state in got] == [state for _, state in want]
         assert bits(amp for amp, _ in got) == bits(amp for amp, _ in want)
         # The first state object seen for each value is the one kept.
         assert all(g is w for (_, g), (_, w) in zip(got, want))
 
 
-# The address window of the pointer workload, and values that include zero.
+# Addresses over the pointer workload's window of 256 and a little past it.
 window_addresses = st.integers(0, 300)
 cells = st.dictionaries(window_addresses, st.integers(1, 9), max_size=40)
 
