@@ -19,7 +19,7 @@ an exhaustive value-semantics checker.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .operators import EvalStats, Identity, OperatorExpr, Primitive, _dispatch
 from .state import combine
@@ -36,7 +36,7 @@ MAX_VERIFY_MODES = 8
 _EXACT_ZEROS_ONLY = math.ulp(0.0)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BitBasisState:
     """Occupancies of the register and the memory modes, each zero or one."""
 
@@ -62,10 +62,10 @@ class BitBasisState:
 
     def flipped(self, mode: int) -> "BitBasisState":
         if mode == BIT_REGISTER:
-            return BitBasisState(1 - self.register, self.bits)
+            return _record(1 - self.register, self.bits)
         bits = list(self.bits)
         bits[mode] = 1 - bits[mode]
-        return BitBasisState(self.register, tuple(bits))
+        return _record(self.register, tuple(bits))
 
     def parity_before(self, mode: int) -> int:
         """Number of occupied modes strictly preceding ``mode`` in the
@@ -73,6 +73,17 @@ class BitBasisState:
         if mode == BIT_REGISTER:
             return 0
         return self.register + sum(self.bits[:mode])
+
+
+_set_register, _set_bits = (BitBasisState.__dict__[f.name].__set__ for f in fields(BitBasisState))
+
+
+def _record(register: int, bits: tuple[int, ...]) -> BitBasisState:
+    """A bit state from its field values in declaration order, unchecked."""
+    state = object.__new__(BitBasisState)
+    _set_register(state, register)
+    _set_bits(state, bits)
+    return state
 
 
 def _sign(state: BitBasisState, mode: int) -> float:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import StateSpaceTooLarge, TruncationOverflow
 from .isa import Instruction, Opcode, address, immediate
 from .operators import (
@@ -194,6 +192,8 @@ def dense_oracle_evolve(
     truncated series with matrix powers. Raises
     :class:`StateSpaceTooLarge` beyond ``bound`` states.
     """
+    import numpy as np  # only the oracle needs it, so a plain run never loads it
+
     basis = _reachable_basis(h, s0, order, bound)
     index = {state: i for i, state in enumerate(basis)}
     dim = len(basis)

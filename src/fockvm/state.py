@@ -6,10 +6,10 @@ its nonzero (address, value) cells sorted by address, and the two I/O
 streams. Stored values are exact nonnegative integers of any size;
 amplitudes are complex doubles. Basis vectors are unit norm by construction.
 
-A basis state is validated once, when it is constructed. An update
-(``with_register``, ``with_mem``, ``pop_input`` and the rest) derives a new
-state from a valid one and checks only the value it writes; the fields it
-copies were checked when their source state was built.
+A basis state is a slotted record, validated once, when it is constructed.
+An update (``with_register``, ``with_mem``, ``pop_input`` and the rest)
+builds a new state from a valid one and checks only the value it writes;
+the fields it copies were checked when their source state was built.
 
 Superpositions are finite lists of (amplitude, basis state) terms kept in a
 canonical form: identical states merged, near-zero amplitudes dropped, terms
@@ -47,6 +47,8 @@ _S = TypeVar("_S")
 def _check_counter(name: str, value: object, addr: int | None = None) -> int:
     """Reject a value that is not a nonnegative integer. ``addr`` names the
     memory cell a value is stored at; the message is built only on failure."""
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         error, problem = TypeError, f"must be an integer, got {type(value).__name__}"
     elif value < 0:
@@ -57,7 +59,7 @@ def _check_counter(name: str, value: object, addr: int | None = None) -> int:
     raise error(f"{where} {problem}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BasisState:
     """One classical machine configuration.
 
@@ -68,9 +70,9 @@ class BasisState:
     the not-yet-consumed input values, ``output`` the values emitted so far.
 
     The constructor validates every field and is the one entry for outside
-    input. The ``with_*`` updates, ``pop_input`` and ``append_output`` derive
-    their result from this already valid state and check only the value they
-    write, so the invariant holds for every state by induction.
+    input. The ``with_*`` updates, ``pop_input`` and ``append_output`` build
+    their result through the unchecked ``_record`` and check only the value
+    they write, so the invariant holds for every state by induction.
     """
 
     register: int = 0
@@ -100,12 +102,6 @@ class BasisState:
                 _check_counter(f"{field} value", v)
             object.__setattr__(self, field, stream)
 
-    def _derive(self, **changes) -> "BasisState":
-        """A copy with ``changes`` written over its fields, not re-validated."""
-        new = object.__new__(BasisState)
-        vars(new).update(vars(self), **changes)
-        return new
-
     def mem_value(self, addr: int) -> int:
         """Value stored at ``addr``; absent addresses read as zero."""
         # (addr,) sorts just before (addr, value), so bisection finds the cell.
@@ -114,13 +110,13 @@ class BasisState:
         return mem[i][1] if i < len(mem) and mem[i][0] == addr else 0
 
     def with_register(self, value: int) -> "BasisState":
-        return self._derive(register=_check_counter("register", value))
+        return _record(_check_counter("register", value), self.pc, self.fuel, self.mem, self.input, self.output)
 
     def with_pc(self, value: int) -> "BasisState":
-        return self._derive(pc=_check_counter("pc", value))
+        return _record(self.register, _check_counter("pc", value), self.fuel, self.mem, self.input, self.output)
 
     def with_fuel(self, value: int) -> "BasisState":
-        return self._derive(fuel=_check_counter("fuel", value))
+        return _record(self.register, self.pc, _check_counter("fuel", value), self.mem, self.input, self.output)
 
     def with_mem(self, addr: int, value: int) -> "BasisState":
         _check_counter("memory address", addr)
@@ -129,16 +125,35 @@ class BasisState:
         i = bisect_left(mem, (addr,))
         end = i + 1 if i < len(mem) and mem[i][0] == addr else i
         cell = ((addr, value),) if value > 0 else ()
-        return self._derive(mem=mem[:i] + cell + mem[end:])
+        return _record(self.register, self.pc, self.fuel, mem[:i] + cell + mem[end:], self.input, self.output)
 
     def pop_input(self) -> tuple[int, "BasisState"]:
         """Consume the head of the input stream."""
         if not self.input:
             raise InputExhausted("input stream is empty")
-        return self.input[0], self._derive(input=self.input[1:])
+        return self.input[0], _record(self.register, self.pc, self.fuel, self.mem, self.input[1:], self.output)
 
     def append_output(self, value: int) -> "BasisState":
-        return self._derive(output=self.output + (_check_counter("output value", value),))
+        output = self.output + (_check_counter("output value", value),)
+        return _record(self.register, self.pc, self.fuel, self.mem, self.input, output)
+
+
+# Each slot's member descriptor writes it directly, past the frozen __setattr__.
+_set_register, _set_pc, _set_fuel, _set_mem, _set_input, _set_output = (
+    BasisState.__dict__[f.name].__set__ for f in fields(BasisState)
+)
+
+
+def _record(register, pc, fuel, mem, input, output) -> BasisState:
+    """A basis state from its field values in declaration order, unchecked."""
+    state = object.__new__(BasisState)
+    _set_register(state, register)
+    _set_pc(state, pc)
+    _set_fuel(state, fuel)
+    _set_mem(state, mem)
+    _set_input(state, input)
+    _set_output(state, output)
+    return state
 
 
 @dataclass(frozen=True)

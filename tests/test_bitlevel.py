@@ -8,8 +8,10 @@ root::
     PYTHONPATH=src python tests/test_bitlevel.py
 """
 
+import copy
 import itertools
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,26 @@ class TestStates:
         assert s.parity_before(BIT_REGISTER) == 0
         assert s.parity_before(0) == 1
         assert s.parity_before(2) == 2
+
+    @pytest.mark.parametrize("mode_count", range(5))
+    def test_flipped_matches_the_constructor(self, mode_count):
+        states = list(all_states(mode_count))
+        for state in states:
+            for mode in (BIT_REGISTER, *range(mode_count)):
+                got = state.flipped(mode)
+                register = 1 - state.register if mode == BIT_REGISTER else state.register
+                want = BitBasisState(register, tuple(1 - b if i == mode else b for i, b in enumerate(state.bits)))
+                assert type(got) is BitBasisState and not hasattr(got, "__dict__")
+                assert got == want and hash(got) == hash(want)
+                assert [got < other for other in states] == [want < other for other in states]
+                assert [got > other for other in states] == [want > other for other in states]
+
+    def test_flipped_states_copy_and_pickle(self):
+        state = BitBasisState(0, (1, 0, 1)).flipped(BIT_REGISTER).flipped(1)
+        for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert type(twin) is BitBasisState and not hasattr(twin, "__dict__")
+            assert (twin.register, twin.bits) == (1, (1, 1, 1))
+            assert twin == state and hash(twin) == hash(state)
 
 
 class TestApplyFermi:

@@ -2,7 +2,8 @@
 
 ``sexpr``, ``locations`` and ``uses_pointers`` read trees through the one
 iterative :func:`fockvm.operators.walk`, so no dump or scan is bounded by
-the interpreter's recursion limit. The last test keeps it that way: no
+the interpreter's recursion limit. The assembly and grammar readers take
+3000-line inputs through to a result. The last test keeps it that way: no
 test, script or benchmark may raise the limit to make a deep input pass.
 """
 
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fockvm.evolution import Hamiltonian
+from fockvm.grammar import parse_grammar, transition_probability
 from fockvm.operators import (
     END,
     PC,
@@ -30,6 +32,7 @@ from fockvm.operators import (
     sexpr,
     walk,
 )
+from fockvm.qasm import interpret, parse_program, run_algebraic
 from fockvm.qcc import AddressOf, CAst, Deref, OutputStmt, Var, uses_pointers
 
 DEPTH = 3000
@@ -85,6 +88,31 @@ def test_walk_is_preorder_with_an_end_after_each_node():
         expr.factors[2], Identity(), END, sub, Num(PC), PC, END, Const(1), END, END,
         END,
     ]
+
+
+def test_long_assembly_program_runs_on_both_back_ends():
+    cycle = ["LOAD #{k}", "STORE a", "ADD a", "STORE b", "OUTPUT b"]
+    lines = [cycle[i % len(cycle)].format(k=i % 9) for i in range(DEPTH - 1)] + ["HALT"]
+    program = parse_program("\n".join(lines) + "\n")
+    assert len(program) == DEPTH
+    classical = interpret(program, []).sole()[1]
+    amp, algebraic = run_algebraic(program, []).sole()
+    assert amp == 1
+    assert (algebraic.register, algebraic.mem, algebraic.output) == (
+        classical.register, classical.mem, classical.output
+    )
+    # The last cycle is cut before its OUTPUT by the HALT.
+    assert classical.output == tuple(2 * (i % 9) for i in range(0, DEPTH - len(cycle), len(cycle)))
+
+
+def test_long_grammar_and_start_give_a_one_step_probability():
+    # Each rule rewrites one distinct symbol to the next one, cyclically.
+    symbols = [chr(0x4E00 + i) for i in range(DEPTH)]
+    rules = "".join(f"rule: {a} -> {b}\n" for a, b in zip(symbols, symbols[1:] + symbols[:1]))
+    grammar = parse_grammar(f"start: {''.join(symbols)}\n{rules}")
+    assert len(grammar.rules) == len(grammar.start) == DEPTH
+    target = symbols[1] * 2 + "".join(symbols[2:])
+    assert transition_probability(grammar, grammar.start, target, max_steps=1) == (1.0, 1 / DEPTH)
 
 
 def test_no_file_raises_the_recursion_limit():

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +222,27 @@ class TestAssemblyForm:
         assert apply_expr(Product((Raise(Mem(1)), Lower(Mem(0)))), start).terms == ()
         with pytest.raises(SubtractUnderflow):
             apply_expr(assembly_hop_term(0), start)
+
+
+NUMPY_ON_DEMAND = """
+import json, sys
+import fockvm
+from fockvm import cli
+from fockvm.evolution import build_hop_hamiltonian, dense_oracle_evolve
+from fockvm.state import BasisState, unit
+code = cli.main(["run", "--input", "2,3", sys.argv[1]])
+after_run = "numpy" in sys.modules
+dense_oracle_evolve(build_hop_hamiltonian(3), unit(BasisState(mem={0: 1})), 0.1, 2)
+print(json.dumps({"code": code, "after_run": after_run, "after_oracle": "numpy" in sys.modules}))
+"""
+
+
+class TestNumpyOnDemand:
+    def test_only_the_dense_oracle_loads_numpy(self, data_dir):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_ON_DEMAND, str(data_dir / "add.qasm")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True,
+        )
+        got = json.loads(done.stdout.splitlines()[-1])
+        assert got == {"code": 0, "after_run": False, "after_oracle": True}

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from operator import itemgetter
 
 import pytest
@@ -149,6 +151,7 @@ class TestUpdatesMatchConstructor:
             if name == "with_mem":
                 touched.add(args[0])
             rebuilt = BasisState(**fields_of(state))
+            assert type(state) is BasisState and not hasattr(state, "__dict__")
             assert state == rebuilt and hash(state) == hash(rebuilt)
             assert (state < other) == (rebuilt < other)
             assert (state > other) == (rebuilt > other)
@@ -156,6 +159,40 @@ class TestUpdatesMatchConstructor:
             assert all(value > 0 for _, value in state.mem)
             for addr in touched:
                 assert state.mem_value(addr) == rebuilt.mem_value(addr)
+
+    @given(states, st.lists(updates, max_size=12))
+    @settings(max_examples=200)
+    def test_updates_write_only_their_field(self, state, steps):
+        """Against a dict model: each update changes its own field, and every
+        other field keeps its value in its own slot."""
+        model = fields_of(state)
+        for name, *args in steps:
+            if name == "pop_input":
+                if not state.input:
+                    continue
+                value, state = state.pop_input()
+                assert value == model["input"][0]
+                model["input"] = model["input"][1:]
+            else:
+                state = getattr(state, name)(*args)
+                if name == "with_mem":
+                    model["mem"] = {a: v for a, v in {**model["mem"], args[0]: args[1]}.items() if v}
+                elif name == "append_output":
+                    model["output"] += (args[0],)
+                else:
+                    model[name.removeprefix("with_")] = args[0]
+            assert fields_of(state) == model
+
+    @given(states, st.lists(updates, min_size=1, max_size=6))
+    @settings(max_examples=50)
+    def test_derived_states_copy_and_pickle(self, state, steps):
+        for name, *args in steps:
+            if name != "pop_input":
+                state = getattr(state, name)(*args)
+        for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert type(twin) is BasisState and not hasattr(twin, "__dict__")
+            assert fields_of(twin) == fields_of(state)
+            assert twin == state and hash(twin) == hash(state)
 
 
 def reference_combine(terms, drop_tolerance):
