@@ -18,6 +18,7 @@ an exhaustive value-semantics checker.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -28,7 +29,8 @@ from .state import combine
 BIT_REGISTER = -1
 
 #: Largest mode count the exhaustive checks accept: they enumerate all
-#: 2^(modes+1) basis states, so each further mode doubles their cost.
+#: 2^(modes+1) basis states, so each further mode doubles their cost. It
+#: also bounds the cached state tuples and leaf tables behind them.
 MAX_VERIFY_MODES = 8
 
 #: Merge tolerance that drops exactly cancelled terms and nothing else:
@@ -91,9 +93,18 @@ def _sign(state: BitBasisState, mode: int) -> float:
 
 
 @dataclass(frozen=True)
-class BRaise(Primitive):
+class _BitLeaf(Primitive):
+    """A leaf addressing one mode: the register or a memory mode."""
+
     mode: int
 
+    def __post_init__(self) -> None:
+        if self.mode < BIT_REGISTER:
+            raise ValueError(f"bit modes start at the register ({BIT_REGISTER}), got {self.mode}")
+
+
+@dataclass(frozen=True)
+class BRaise(_BitLeaf):
     def act(self, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
         if state.occupancy(self.mode):
             return []
@@ -101,9 +112,7 @@ class BRaise(Primitive):
 
 
 @dataclass(frozen=True)
-class BLower(Primitive):
-    mode: int
-
+class BLower(_BitLeaf):
     def act(self, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
         if not state.occupancy(self.mode):
             return []
@@ -111,9 +120,7 @@ class BLower(Primitive):
 
 
 @dataclass(frozen=True)
-class BNumber(Primitive):
-    mode: int
-
+class BNumber(_BitLeaf):
     def act(self, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
         return [(1.0, state)] if state.occupancy(self.mode) else []
 
@@ -131,9 +138,18 @@ def apply_fermi(op: OperatorExpr, state: BitBasisState) -> list[tuple[complex, B
     return combine(live, _EXACT_ZEROS_ONLY)
 
 
-def _then(first: Primitive, second: Primitive, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
+_Table = dict[BitBasisState, list[tuple[float, BitBasisState]]]
+
+
+@functools.cache
+def _table(leaf: Primitive, mode_count: int) -> _Table:
+    """``leaf.act`` on every basis state of ``mode_count`` modes, built once."""
+    return {state: leaf.act(state) for state in all_states(mode_count)}
+
+
+def _then(first: _Table, second: _Table, state: BitBasisState) -> list[tuple[float, BitBasisState]]:
     """The leaf product ``second * first`` on one basis state, unmerged."""
-    return [(f * g, image) for f, mid in first.act(state) for g, image in second.act(mid)]
+    return [(f * g, image) for f, mid in first[state] for g, image in second[mid]]
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +247,16 @@ class SemanticsReport:
         }
 
 
-def all_states(mode_count: int):
-    for packed in range(2 ** (mode_count + 1)):
-        register = packed & 1
-        bits = tuple((packed >> (i + 1)) & 1 for i in range(mode_count))
-        yield BitBasisState(register, bits)
+@functools.cache
+def all_states(mode_count: int) -> tuple[BitBasisState, ...]:
+    """Every basis state of ``mode_count`` memory modes and the register, in
+    packed-integer order (register in bit 0, mode i in bit i + 1)."""
+    if mode_count > MAX_VERIFY_MODES:
+        raise ValueError(f"exhaustive verification is limited to {MAX_VERIFY_MODES} modes")
+    return tuple(
+        BitBasisState(packed & 1, tuple((packed >> (i + 1)) & 1 for i in range(mode_count)))
+        for packed in range(2 ** (mode_count + 1))
+    )
 
 
 def verify_bit_semantics(kind: str, mode_count: int = 2, m: int = 0, n: int | None = None) -> SemanticsReport:
@@ -245,8 +266,6 @@ def verify_bit_semantics(kind: str, mode_count: int = 2, m: int = 0, n: int | No
     with amplitude modulus one (sign free), or annihilation where the
     semantics demand it. Amplitudes are recorded so signs can be reported.
     """
-    if mode_count > MAX_VERIFY_MODES:
-        raise ValueError(f"exhaustive verification is limited to {MAX_VERIFY_MODES} modes")
     if kind == "copy" and n is None:
         n = 1
     op = simplified_form(kind, m, n)
@@ -268,9 +287,10 @@ def verify_bit_semantics(kind: str, mode_count: int = 2, m: int = 0, n: int | No
 
 def anticommutator_is_delta(i: int, j: int, mode_count: int) -> bool:
     """Check {b_i, b_j+} = delta_ij exactly on every basis state."""
+    b_i, bdag_j = _table(BLower(i), mode_count), _table(BRaise(j), mode_count)
     delta = 1.0 if i == j else 0.0
     for state in all_states(mode_count):
-        both = _then(BRaise(j), BLower(i), state) + _then(BLower(i), BRaise(j), state)
+        both = _then(bdag_j, b_i, state) + _then(b_i, bdag_j, state)
         expected = [(complex(delta), state)] if delta else []
         if combine(both, _EXACT_ZEROS_ONLY) != expected:
             return False
@@ -280,8 +300,9 @@ def anticommutator_is_delta(i: int, j: int, mode_count: int) -> bool:
 def anticommutator_vanishes(i: int, j: int, mode_count: int, daggered: bool) -> bool:
     """Check {b_i, b_j} = 0 (or the daggered pair) on every basis state."""
     op = BRaise if daggered else BLower
+    op_i, op_j = _table(op(i), mode_count), _table(op(j), mode_count)
     for state in all_states(mode_count):
-        both = _then(op(j), op(i), state) + _then(op(i), op(j), state)
+        both = _then(op_j, op_i, state) + _then(op_i, op_j, state)
         if combine(both, _EXACT_ZEROS_ONLY):
             return False
     return True
@@ -289,5 +310,5 @@ def anticommutator_vanishes(i: int, j: int, mode_count: int, daggered: bool) -> 
 
 def number_is_idempotent(mode: int, mode_count: int) -> bool:
     """The identity the closed forms rely on: N and N^2 agree pointwise."""
-    op = BNumber(mode)
-    return all(op.act(state) == _then(op, op, state) for state in all_states(mode_count))
+    n_m = _table(BNumber(mode), mode_count)
+    return all(n_m[state] == _then(n_m, n_m, state) for state in all_states(mode_count))

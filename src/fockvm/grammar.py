@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NoRuleForSymbol, ParseError
@@ -71,6 +71,23 @@ class Grammar:
                         f"classical weights must be nonnegative reals, got {rule.weight!r}"
                     )
 
+    @cached_property
+    def normalized_weights(self) -> tuple[complex, ...]:
+        """Per-rule weights normalized within each left-hand-side group,
+        worked out once per grammar object and kept in its ``__dict__``."""
+        groups: dict[str, list[int]] = {}
+        for idx, rule in enumerate(self.rules):
+            groups.setdefault(rule.lhs, []).append(idx)
+        out = [0j] * len(self.rules)
+        for indices in groups.values():
+            if self.mode == CLASSICAL:
+                total = sum(self.rules[i].weight.real for i in indices)
+            else:
+                total = math.sqrt(sum(abs(self.rules[i].weight) ** 2 for i in indices))
+            for i in indices:
+                out[i] = self.rules[i].weight / total if total else 0j
+        return tuple(out)
+
 
 class Successor(NamedTuple):
     """One rewrite: the result, where it happened, the rule's index in
@@ -88,23 +105,6 @@ class DerivationPath:
 
     steps: tuple[tuple[int, int], ...]
     amplitude: complex
-
-
-@lru_cache(maxsize=None)
-def _normalized_weights(grammar: Grammar) -> tuple[complex, ...]:
-    """Per-rule weights normalized within each left-hand-side group."""
-    groups: dict[str, list[int]] = {}
-    for idx, rule in enumerate(grammar.rules):
-        groups.setdefault(rule.lhs, []).append(idx)
-    out = [0j] * len(grammar.rules)
-    for indices in groups.values():
-        if grammar.mode == CLASSICAL:
-            total = sum(grammar.rules[i].weight.real for i in indices)
-        else:
-            total = math.sqrt(sum(abs(grammar.rules[i].weight) ** 2 for i in indices))
-        for i in indices:
-            out[i] = grammar.rules[i].weight / total if total else 0j
-    return tuple(out)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -165,7 +165,7 @@ def step_successors(grammar: Grammar, s: str, position: int | None = None) -> li
     to occurrences starting there. Weights are the per-group normalized
     rule weights.
     """
-    weights = _normalized_weights(grammar)
+    weights = grammar.normalized_weights
     out: list[tuple[tuple[int, int], Successor]] = []
     for idx, rule in enumerate(grammar.rules):
         span = len(rule.lhs)
@@ -188,7 +188,7 @@ def pass_distribution(grammar: Grammar, s: str) -> dict[str, float]:
     """
     if grammar.mode != CLASSICAL:
         raise ValueError("parallel passes are defined for classical grammars")
-    weights = _normalized_weights(grammar)
+    weights = grammar.normalized_weights
     per_symbol: list[list[tuple[str, float]]] = []
     for symbol in s:
         options = [
@@ -256,14 +256,19 @@ def _amplitude_sums(
     grammar: Grammar, source: str, max_steps: int, position: int | None
 ) -> dict[str, complex]:
     """Sum of derivation amplitudes per reachable string, over path lengths
-    one through ``max_steps``."""
+    one through ``max_steps``. Each distinct string is expanded once; later
+    levels reuse its (result, weight) edges in successor order."""
     acc: dict[str, complex] = {}
+    edges: dict[str, list[tuple[str, complex]]] = {}
     frontier: dict[str, complex] = {source: 1.0 + 0j}
     for _ in range(max_steps):
         nxt: dict[str, complex] = {}
         for s, amp in frontier.items():
-            for succ in step_successors(grammar, s, position=position):
-                nxt[succ.string] = nxt.get(succ.string, 0j) + amp * succ.weight
+            out = edges.get(s)
+            if out is None:
+                out = edges[s] = [(t.string, t.weight) for t in step_successors(grammar, s, position=position)]
+            for t, weight in out:
+                nxt[t] = nxt.get(t, 0j) + amp * weight
         frontier = nxt
         for s, amp in nxt.items():
             acc[s] = acc.get(s, 0j) + amp
