@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from fockvm import bitlevel
 from fockvm.bitlevel import (
     BIT_REGISTER,
+    MAX_VERIFY_MODES,
     BLower,
     BNumber,
     BRaise,
@@ -67,6 +69,20 @@ class TestStates:
             assert type(twin) is BitBasisState and not hasattr(twin, "__dict__")
             assert (twin.register, twin.bits) == (1, (1, 1, 1))
             assert twin == state and hash(twin) == hash(state)
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("leaf", [BRaise, BLower, BNumber])
+    def test_modes_below_the_register_are_rejected(self, leaf):
+        for mode in (-2, -3):
+            with pytest.raises(ValueError, match="register"):
+                leaf(mode)
+
+    def test_the_register_is_a_mode(self):
+        state = BitBasisState(1, (0, 1, 0))
+        assert BRaise(BIT_REGISTER).act(state) == []
+        assert BLower(BIT_REGISTER).act(state) == [(1.0, BitBasisState(0, (0, 1, 0)))]
+        assert BNumber(BIT_REGISTER).act(state) == [(1.0, state)]
 
 
 class TestApplyFermi:
@@ -137,6 +153,84 @@ class TestRelations:
 
     def test_number_idempotent(self):
         assert all(number_is_idempotent(m, 4) for m in range(4))
+
+
+def _unsigned_raise(self, state):
+    return [] if state.occupancy(self.mode) else [(1.0, state.flipped(self.mode))]
+
+
+def _unsigned_lower(self, state):
+    return [(1.0, state.flipped(self.mode))] if state.occupancy(self.mode) else []
+
+
+def _doubled_number(self, state):
+    return [(2.0, state)] if state.occupancy(self.mode) else []
+
+
+PAIRS = list(itertools.product(range(2), repeat=2))
+CHECKERS = {
+    "anticommutator_is_delta": lambda modes: all(anticommutator_is_delta(i, j, modes) for i, j in PAIRS),
+    "anticommutator_vanishes": lambda modes: all(
+        anticommutator_vanishes(i, j, modes, daggered) for i, j in PAIRS for daggered in (False, True)
+    ),
+    "number_is_idempotent": lambda modes: all(number_is_idempotent(m, modes) for m in range(2)),
+    "verify_bit_semantics": lambda modes: verify_bit_semantics("clear", mode_count=modes).passed,
+}
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """``monkeypatch`` with the cached leaf tables and state tuples cleared
+    on entry and on exit, so no table built from a patched ``act`` (or
+    before the patch) outlives the test."""
+    bitlevel._table.cache_clear()
+    all_states.cache_clear()
+    yield monkeypatch
+    bitlevel._table.cache_clear()
+    all_states.cache_clear()
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize("mode_count", range(5))
+    def test_all_states_is_the_packed_integer_enumeration(self, mode_count):
+        packed = [
+            BitBasisState(k & 1, tuple((k >> (i + 1)) & 1 for i in range(mode_count)))
+            for k in range(2 ** (mode_count + 1))
+        ]
+        assert all_states(mode_count) == tuple(packed)
+        assert all_states(mode_count) is all_states(mode_count)
+
+    @pytest.mark.parametrize(
+        ("checker", "leaf", "wrong"),
+        [
+            ("anticommutator_is_delta", BRaise, _unsigned_raise),
+            ("anticommutator_is_delta", BLower, _unsigned_lower),
+            ("anticommutator_vanishes", BRaise, _unsigned_raise),
+            ("anticommutator_vanishes", BLower, _unsigned_lower),
+            ("number_is_idempotent", BNumber, _doubled_number),
+        ],
+    )
+    def test_a_wrong_leaf_fails_after_the_right_tables_exist(self, fresh_tables, checker, leaf, wrong):
+        check = CHECKERS[checker]
+        assert check(3)
+        fresh_tables.setattr(leaf, "act", wrong)
+        bitlevel._table.cache_clear()
+        assert not check(3)
+
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_every_check_enforces_the_mode_bound(self, fresh_tables, checker):
+        built = []
+        real = BitBasisState.__post_init__
+
+        def counted(state):
+            built.append(state)
+            real(state)
+
+        fresh_tables.setattr(BitBasisState, "__post_init__", counted)
+        with pytest.raises(ValueError, match=f"limited to {MAX_VERIFY_MODES} modes"):
+            CHECKERS[checker](MAX_VERIFY_MODES + 1)
+        assert built == []
+        assert CHECKERS[checker](2) and built
 
 
 class TestSimplifiedForms:

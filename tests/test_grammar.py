@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockvm import grammar as grammar_module
 from fockvm.errors import NoRuleForSymbol, ParseError
 from fockvm.grammar import (
     Grammar,
@@ -356,3 +359,117 @@ class TestTransitionProbability:
             want = oracle_probability(g, "xy", target, steps)
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The memoized amplitude sums against the algorithm they replace, which
+# expanded every frontier string again at every level. Same frontier order,
+# same summation order, so results must agree bit for bit.
+
+
+def reference_amplitude_sums(grammar: Grammar, source: str, max_steps: int, position=None):
+    acc: dict[str, complex] = {}
+    frontier: dict[str, complex] = {source: 1.0 + 0j}
+    for _ in range(max_steps):
+        nxt: dict[str, complex] = {}
+        for s, amp in frontier.items():
+            for succ in step_successors(grammar, s, position=position):
+                nxt[succ.string] = nxt.get(succ.string, 0j) + amp * succ.weight
+        frontier = nxt
+        for s, amp in nxt.items():
+            acc[s] = acc.get(s, 0j) + amp
+        if not frontier:
+            break
+    return acc
+
+
+def reference_relative(grammar: Grammar, amp: complex) -> float:
+    return amp.real if grammar.mode == "classical" else abs(amp) ** 2
+
+
+def reference_probability(grammar: Grammar, source, target, max_steps, position=None):
+    sums = reference_amplitude_sums(grammar, source, max_steps, position)
+    relative = reference_relative(grammar, sums.get(target, 0j))
+    total = sum(reference_relative(grammar, amp) for amp in sums.values())
+    return relative, (relative / total if total else 0.0)
+
+
+def reference_distribution(grammar: Grammar, source, max_steps, position=None):
+    sums = reference_amplitude_sums(grammar, source, max_steps, position)
+    rel = {s: reference_relative(grammar, amp) for s, amp in sums.items()}
+    total = sum(rel.values())
+    return {s: r / total for s, r in rel.items()} if total else {}
+
+
+@st.composite
+def small_grammars(draw):
+    """Classical or quantum grammars over ``ab`` with one- and two-symbol
+    left-hand sides; the start string holds the first rule's left side."""
+    mode = draw(st.sampled_from(["classical", "quantum"]))
+    unit = st.floats(-1.0, 1.0)
+    rules = []
+    for k in range(draw(st.integers(1, 4))):
+        lhs = draw(st.text("ab", min_size=1, max_size=1 if k == 0 else 2))
+        rhs = draw(st.text("ab", max_size=3))
+        if mode == "classical":
+            weight = complex(draw(st.floats(0.0, 1.0) if k else st.floats(0.01, 1.0)))
+        else:
+            weight = complex(draw(unit), draw(unit))
+        rules.append(Rule(lhs, rhs, weight))
+    start = draw(st.text("ab", max_size=2)) + rules[0].lhs
+    return Grammar(start, tuple(rules), mode)
+
+
+class TestMemoizedSums:
+    @given(
+        grammar=small_grammars(),
+        steps=st.integers(0, 6),
+        position=st.none() | st.integers(0, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_reexpanding_sums(self, grammar, steps, position):
+        source = grammar.start
+        want = reference_distribution(grammar, source, steps, position)
+        got = outcome_distribution(grammar, source, steps, position)
+        assert list(got.items()) == list(want.items())
+        for target in [source, "zz", *list(want)[:3], *list(want)[-2:]]:
+            assert transition_probability(grammar, source, target, steps, position) == (
+                reference_probability(grammar, source, target, steps, position)
+            )
+
+    @pytest.mark.parametrize(("steps", "distinct"), [(7, 147), (8, 277)])
+    def test_each_distinct_string_is_expanded_once(self, data_dir, monkeypatch, steps, distinct):
+        g = parse_grammar((data_dir / "particles.g").read_text(encoding="utf-8"))
+        calls = []
+        real = grammar_module.step_successors
+
+        def counted(grammar, s, position=None):
+            calls.append(s)
+            return real(grammar, s, position=position)
+
+        monkeypatch.setattr(grammar_module, "step_successors", counted)
+        transition_probability(g, "ee", "ege", steps)
+        # Every string reachable in fewer than ``steps`` rewrites, once each.
+        level, expanded = {"ee"}, set()
+        for _ in range(steps):
+            expanded |= level
+            level = {out for s in level for out, _ in oracle_rewrites(g, s, None)}
+        assert len(calls) == len(set(calls)) == len(expanded) == distinct
+        assert set(calls) == expanded
+
+    def test_weights_are_the_group_normalized_weights(self):
+        for text in (XY_TEXT, COIN_TEXT):
+            g = parse_grammar(text)
+            assert g.normalized_weights == tuple(oracle_normalized(g))
+        g = Grammar("a", (Rule("a", "b", 1 + 2j), Rule("a", "c", -0.5j), Rule("b", "", 0.0)), mode="quantum")
+        assert g.normalized_weights == tuple(oracle_normalized(g))
+        assert g.normalized_weights is g.normalized_weights
+
+    def test_no_grammar_outlives_its_callers(self):
+        g = parse_grammar(XY_TEXT)
+        transition_probability(g, "xy", "xxy", 3)
+        pass_distribution(parse_grammar(COIN_TEXT), "ht")
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
