@@ -165,18 +165,24 @@ def step_successors(grammar: Grammar, s: str, position: int | None = None) -> li
     to occurrences starting there. Weights are the per-group normalized
     rule weights.
     """
+    return [Successor(t, pos, idx, weight) for pos, idx, t, weight in _rewrites(grammar, s, position)]
+
+
+def _rewrites(grammar: Grammar, s: str, position: int | None) -> list[tuple[int, int, str, complex]]:
+    """The rewrites of :func:`step_successors` as sorted (position, rule
+    index, result, weight) tuples, the one scan behind it and the sums."""
     weights = grammar.normalized_weights
-    out: list[tuple[tuple[int, int], Successor]] = []
+    out: list[tuple[int, int, str, complex]] = []
     for idx, rule in enumerate(grammar.rules):
         span = len(rule.lhs)
         pos = s.find(rule.lhs)
         while pos != -1:
             if position is None or pos == position:
-                result = s[:pos] + rule.rhs + s[pos + span :]
-                out.append(((pos, idx), Successor(result, pos, idx, weights[idx])))
+                out.append((pos, idx, s[:pos] + rule.rhs + s[pos + span :], weights[idx]))
             pos = s.find(rule.lhs, pos + 1)
-    out.sort(key=lambda item: item[0])
-    return [succ for _, succ in out]
+    # (position, rule index) is unique, so the sort never compares weights.
+    out.sort()
+    return out
 
 
 def pass_distribution(grammar: Grammar, s: str) -> dict[str, float]:
@@ -257,17 +263,17 @@ def _amplitude_sums(
 ) -> dict[str, complex]:
     """Sum of derivation amplitudes per reachable string, over path lengths
     one through ``max_steps``. Each distinct string is expanded once; later
-    levels reuse its (result, weight) edges in successor order."""
+    levels reuse its rewrites in successor order."""
     acc: dict[str, complex] = {}
-    edges: dict[str, list[tuple[str, complex]]] = {}
+    edges: dict[str, list[tuple[int, int, str, complex]]] = {}
     frontier: dict[str, complex] = {source: 1.0 + 0j}
     for _ in range(max_steps):
         nxt: dict[str, complex] = {}
         for s, amp in frontier.items():
             out = edges.get(s)
             if out is None:
-                out = edges[s] = [(t.string, t.weight) for t in step_successors(grammar, s, position=position)]
-            for t, weight in out:
+                out = edges[s] = _rewrites(grammar, s, position)
+            for _pos, _idx, t, weight in out:
                 nxt[t] = nxt.get(t, 0j) + amp * weight
         frontier = nxt
         for s, amp in nxt.items():

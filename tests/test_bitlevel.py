@@ -11,6 +11,7 @@ root::
 import copy
 import itertools
 import json
+import math
 import pickle
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from fockvm.bitlevel import (
     verify_bit_semantics,
 )
 from fockvm.operators import Identity, Product, ScalarMul, Sum
+from fockvm.state import combine
 
 
 class TestStates:
@@ -231,6 +233,92 @@ class TestCachedTables:
             CHECKERS[checker](MAX_VERIFY_MODES + 1)
         assert built == []
         assert CHECKERS[checker](2) and built
+
+
+def _parent_table(leaf, mode_count):
+    return {state: leaf.act(state) for state in all_states(mode_count)}
+
+
+def _parent_then(first, second, state):
+    return [(f * g, image) for f, mid in first[state] for g, image in second[mid]]
+
+
+def _parent_is_delta(i, j, mode_count):
+    b_i, bdag_j = _parent_table(BLower(i), mode_count), _parent_table(BRaise(j), mode_count)
+    delta = 1.0 if i == j else 0.0
+    for state in all_states(mode_count):
+        both = _parent_then(bdag_j, b_i, state) + _parent_then(b_i, bdag_j, state)
+        expected = [(complex(delta), state)] if delta else []
+        if combine(both, math.ulp(0.0)) != expected:
+            return False
+    return True
+
+
+def _parent_vanishes(i, j, mode_count, daggered):
+    op = BRaise if daggered else BLower
+    op_i, op_j = _parent_table(op(i), mode_count), _parent_table(op(j), mode_count)
+    for state in all_states(mode_count):
+        both = _parent_then(op_j, op_i, state) + _parent_then(op_i, op_j, state)
+        if combine(both, math.ulp(0.0)):
+            return False
+    return True
+
+
+def _parent_is_idempotent(mode, mode_count):
+    n_m = _parent_table(BNumber(mode), mode_count)
+    return all(n_m[state] == _parent_then(n_m, n_m, state) for state in all_states(mode_count))
+
+
+class TestPackedTables:
+    """The relation checkers on packed-state tables against an inline copy
+    of the versions they replace, which kept each leaf's action in a dict
+    keyed by basis state and merged every composed term with ``combine``."""
+
+    @pytest.mark.parametrize(
+        ("leaf", "wrong"),
+        [(None, None), (BRaise, _unsigned_raise), (BLower, _unsigned_lower), (BNumber, _doubled_number)],
+    )
+    @pytest.mark.parametrize("mode_count", range(5))
+    def test_checkers_match_the_dict_table_versions(self, fresh_tables, mode_count, leaf, wrong):
+        if leaf is not None:
+            fresh_tables.setattr(leaf, "act", wrong)
+        modes = range(BIT_REGISTER, mode_count)
+        for i, j in itertools.product(modes, repeat=2):
+            assert anticommutator_is_delta(i, j, mode_count) == _parent_is_delta(i, j, mode_count)
+            for daggered in (False, True):
+                got = anticommutator_vanishes(i, j, mode_count, daggered)
+                assert got == _parent_vanishes(i, j, mode_count, daggered)
+        for mode in modes:
+            assert number_is_idempotent(mode, mode_count) == _parent_is_idempotent(mode, mode_count)
+
+    @pytest.mark.parametrize("mode_count", range(5))
+    def test_entry_k_describes_the_leaf_on_state_k(self, mode_count):
+        states = all_states(mode_count)
+        for leaf_type, mode in itertools.product((BRaise, BLower, BNumber), range(BIT_REGISTER, mode_count)):
+            table = bitlevel._table(leaf_type(mode), mode_count)
+            assert len(table) == len(states)
+            for state, entry in zip(states, table):
+                terms = leaf_type(mode).act(state)
+                if entry is None:
+                    assert terms == []
+                else:
+                    factor, image = entry
+                    assert terms == [(factor, states[image])]
+
+    @pytest.mark.parametrize(
+        ("call", "mode", "mode_count"),
+        [
+            (lambda: anticommutator_is_delta(5, 0, 3), 5, 3),
+            (lambda: apply_fermi(BRaise(3), BitBasisState(0, (0, 0, 0))), 3, 3),
+            (lambda: number_is_idempotent(3, 3), 3, 3),
+            (lambda: verify_bit_semantics("clear", mode_count=2, m=2), 2, 2),
+        ],
+    )
+    def test_a_mode_past_the_state_is_a_one_line_value_error(self, fresh_tables, call, mode, mode_count):
+        with pytest.raises(ValueError, match=f"^bit mode {mode} is out of range for {mode_count} modes$"):
+            call()
+        assert bitlevel._table.cache_info().currsize == 0
+        assert anticommutator_is_delta(0, 0, mode_count) and number_is_idempotent(0, mode_count)
 
 
 class TestSimplifiedForms:

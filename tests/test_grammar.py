@@ -12,6 +12,7 @@ from fockvm.errors import NoRuleForSymbol, ParseError
 from fockvm.grammar import (
     Grammar,
     Rule,
+    Successor,
     derivation_paths,
     outcome_distribution,
     parse_grammar,
@@ -140,7 +141,37 @@ class TestParse:
         assert g.rules[0].rhs == "b"
 
 
+def unshared_step_successors(grammar: Grammar, s: str, position=None) -> list[Successor]:
+    """``step_successors`` as written before its scan was shared with the
+    amplitude sums: (position, rule index) keys sorted next to each record."""
+    weights = grammar.normalized_weights
+    out = []
+    for idx, rule in enumerate(grammar.rules):
+        span = len(rule.lhs)
+        pos = s.find(rule.lhs)
+        while pos != -1:
+            if position is None or pos == position:
+                result = s[:pos] + rule.rhs + s[pos + span :]
+                out.append(((pos, idx), Successor(result, pos, idx, weights[idx])))
+            pos = s.find(rule.lhs, pos + 1)
+    out.sort(key=lambda item: item[0])
+    return [succ for _, succ in out]
+
+
 class TestStepSuccessors:
+    def test_matches_the_unshared_scan_on_every_string_within_six_steps(self, data_dir):
+        g = parse_grammar((data_dir / "particles.g").read_text(encoding="utf-8"))
+        level, reached = {"ee"}, {"ee"}
+        for _ in range(6):
+            level = {out for s in level for out, _ in oracle_rewrites(g, s, None)}
+            reached |= level
+        assert len(reached) == 147
+        for s in sorted(reached):
+            for position in (None, *range(len(s) + 1)):
+                got = step_successors(g, s, position=position)
+                assert got == unshared_step_successors(g, s, position)
+                assert all(type(succ) is Successor for succ in got)
+
     def test_position_zero(self):
         g = parse_grammar(XY_TEXT)
         succ = step_successors(g, "xy", position=0)
@@ -441,13 +472,13 @@ class TestMemoizedSums:
     def test_each_distinct_string_is_expanded_once(self, data_dir, monkeypatch, steps, distinct):
         g = parse_grammar((data_dir / "particles.g").read_text(encoding="utf-8"))
         calls = []
-        real = grammar_module.step_successors
+        real = grammar_module._rewrites
 
-        def counted(grammar, s, position=None):
+        def counted(grammar, s, position):
             calls.append(s)
-            return real(grammar, s, position=position)
+            return real(grammar, s, position)
 
-        monkeypatch.setattr(grammar_module, "step_successors", counted)
+        monkeypatch.setattr(grammar_module, "_rewrites", counted)
         transition_probability(g, "ee", "ege", steps)
         # Every string reachable in fewer than ``steps`` rewrites, once each.
         level, expanded = {"ee"}, set()
