@@ -235,38 +235,38 @@ class TestCachedTables:
         assert CHECKERS[checker](2) and built
 
 
-def _parent_table(leaf, mode_count):
+def _dict_table(leaf, mode_count):
     return {state: leaf.act(state) for state in all_states(mode_count)}
 
 
-def _parent_then(first, second, state):
+def _dict_then(first, second, state):
     return [(f * g, image) for f, mid in first[state] for g, image in second[mid]]
 
 
-def _parent_is_delta(i, j, mode_count):
-    b_i, bdag_j = _parent_table(BLower(i), mode_count), _parent_table(BRaise(j), mode_count)
+def _dict_is_delta(i, j, mode_count):
+    b_i, bdag_j = _dict_table(BLower(i), mode_count), _dict_table(BRaise(j), mode_count)
     delta = 1.0 if i == j else 0.0
     for state in all_states(mode_count):
-        both = _parent_then(bdag_j, b_i, state) + _parent_then(b_i, bdag_j, state)
+        both = _dict_then(bdag_j, b_i, state) + _dict_then(b_i, bdag_j, state)
         expected = [(complex(delta), state)] if delta else []
         if combine(both, math.ulp(0.0)) != expected:
             return False
     return True
 
 
-def _parent_vanishes(i, j, mode_count, daggered):
+def _dict_vanishes(i, j, mode_count, daggered):
     op = BRaise if daggered else BLower
-    op_i, op_j = _parent_table(op(i), mode_count), _parent_table(op(j), mode_count)
+    op_i, op_j = _dict_table(op(i), mode_count), _dict_table(op(j), mode_count)
     for state in all_states(mode_count):
-        both = _parent_then(op_j, op_i, state) + _parent_then(op_i, op_j, state)
+        both = _dict_then(op_j, op_i, state) + _dict_then(op_i, op_j, state)
         if combine(both, math.ulp(0.0)):
             return False
     return True
 
 
-def _parent_is_idempotent(mode, mode_count):
-    n_m = _parent_table(BNumber(mode), mode_count)
-    return all(n_m[state] == _parent_then(n_m, n_m, state) for state in all_states(mode_count))
+def _dict_is_idempotent(mode, mode_count):
+    n_m = _dict_table(BNumber(mode), mode_count)
+    return all(n_m[state] == _dict_then(n_m, n_m, state) for state in all_states(mode_count))
 
 
 class TestPackedTables:
@@ -284,12 +284,12 @@ class TestPackedTables:
             fresh_tables.setattr(leaf, "act", wrong)
         modes = range(BIT_REGISTER, mode_count)
         for i, j in itertools.product(modes, repeat=2):
-            assert anticommutator_is_delta(i, j, mode_count) == _parent_is_delta(i, j, mode_count)
+            assert anticommutator_is_delta(i, j, mode_count) == _dict_is_delta(i, j, mode_count)
             for daggered in (False, True):
                 got = anticommutator_vanishes(i, j, mode_count, daggered)
-                assert got == _parent_vanishes(i, j, mode_count, daggered)
+                assert got == _dict_vanishes(i, j, mode_count, daggered)
         for mode in modes:
-            assert number_is_idempotent(mode, mode_count) == _parent_is_idempotent(mode, mode_count)
+            assert number_is_idempotent(mode, mode_count) == _dict_is_idempotent(mode, mode_count)
 
     @pytest.mark.parametrize("mode_count", range(5))
     def test_entry_k_describes_the_leaf_on_state_k(self, mode_count):
