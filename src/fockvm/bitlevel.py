@@ -60,16 +60,15 @@ class BitBasisState:
     def occupancy(self, mode: int) -> int:
         if mode == BIT_REGISTER:
             return self.register
-        try:
+        if 0 <= mode < len(self.bits):
             return self.bits[mode]
-        except IndexError:
-            raise ValueError(f"bit mode {mode} is out of range for {len(self.bits)} modes") from None
+        raise ValueError(f"bit mode {mode} is out of range for {len(self.bits)} modes")
 
     def flipped(self, mode: int) -> "BitBasisState":
         if mode == BIT_REGISTER:
             return _record(1 - self.register, self.bits)
         bits = list(self.bits)
-        bits[mode] = 1 - bits[mode]
+        bits[mode] = 1 - self.occupancy(mode)
         return _record(self.register, tuple(bits))
 
     def parity_before(self, mode: int) -> int:
@@ -77,6 +76,7 @@ class BitBasisState:
         canonical order (register first, then modes ascending)."""
         if mode == BIT_REGISTER:
             return 0
+        self.occupancy(mode)  # rejects a mode out of range
         return self.register + sum(self.bits[:mode])
 
 

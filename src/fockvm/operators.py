@@ -29,6 +29,8 @@ primitives acting on machine basis states:
   still scales it.
 
 Every leaf is a ``Primitive``, defined by its action on one basis state.
+``Clear``, ``Copy``, ``SetValue`` and ``InstructionOp`` are ``Deterministic``:
+each maps one state to exactly one ``image`` with factor one, or raises.
 The bit-level machine (:mod:`fockvm.bitlevel`) adds three more leaves over
 its own state type; its programs are ordinary operator expressions, and the
 one evaluator here runs both. ``+``, ``-`` and ``*`` build sums, products
@@ -282,6 +284,13 @@ class Primitive(OperatorExpr):
         raise NotImplementedError
 
 
+class Deterministic(Primitive):
+    """A leaf whose ``image`` maps a state to exactly one, factor one, or raises."""
+
+    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+        return [(1.0 + 0j, self.image(state))]
+
+
 @dataclass(frozen=True)
 class Identity(OperatorExpr):
     pass
@@ -316,15 +325,15 @@ class NumberOp(Primitive):
 
 
 @dataclass(frozen=True)
-class Clear(Primitive):
+class Clear(Deterministic):
     loc: Location
 
-    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
-        return [(1.0 + 0j, with_location(state, self.loc, 0))]
+    def image(self, state: BasisState) -> BasisState:
+        return with_location(state, self.loc, 0)
 
 
 @dataclass(frozen=True)
-class Copy(Primitive):
+class Copy(Deterministic):
     """Copy the source value onto the destination, which must hold zero.
 
     ``Copy(dst, IN)`` consumes the input head; ``Copy(OUT, src)`` appends to
@@ -334,23 +343,21 @@ class Copy(Primitive):
     dst: Location
     src: Location
 
-    def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
+    def image(self, state: BasisState) -> BasisState:
         dst, src = self.dst, self.src
         if dst.kind == "out":
             if src.kind in {"in", "out"}:
                 raise UnsupportedLocation("output copy source must be a storage location")
-            return [(1.0 + 0j, state.append_output(location_value(state, src)))]
+            return state.append_output(location_value(state, src))
         if dst.kind == "in" or src.kind == "out":
             raise UnsupportedLocation("streams support only input reads and output appends")
-        if location_value(state, dst) != 0:
-            raise CopyOntoNonzero(
-                f"copy onto nonzero destination {dst} (value {location_value(state, dst)})"
-            )
+        if (held := location_value(state, dst)) != 0:
+            raise CopyOntoNonzero(f"copy onto nonzero destination {dst} (value {held})")
         if src.kind == "in":
             value, state = state.pop_input()
         else:
             value = location_value(state, src)
-        return [(1.0 + 0j, with_location(state, dst, value))]
+        return with_location(state, dst, value)
 
 
 @dataclass(frozen=True)
@@ -376,6 +383,9 @@ class Product(OperatorExpr):
     as the guard's 0/1 exponent would, without evaluating the guard; once
     the terms have been merged it is skipped while no term has ``pc == c``,
     which is exactly the identity.
+
+    A plan of ``Deterministic`` leaves given one term chains their images:
+    they keep the amplitude, so only the merge after the first can act.
     """
 
     factors: tuple[OperatorExpr, ...]
@@ -410,7 +420,7 @@ class GuardedPower(OperatorExpr):
 
 
 @dataclass(frozen=True)
-class SetValue(OperatorExpr):
+class SetValue(Deterministic):
     """Set a location to the value of an exponent expression, amplitude one.
 
     The normalized raise-to-power/lower-to-zero composite in closed form;
@@ -420,12 +430,21 @@ class SetValue(OperatorExpr):
     loc: Location
     value: ExponentExpr
 
+    def image(self, state: BasisState) -> BasisState:
+        value = eval_exponent(self.value, state)
+        if value < 0:
+            raise NegativeExponent(f"set-value target evaluated to {value}")
+        return with_location(state, self.loc, value)
+
 
 @dataclass(frozen=True)
-class InstructionOp(OperatorExpr):
+class InstructionOp(Deterministic):
     """Amplitude-one value action of a register instruction."""
 
     instr: isa.Instruction
+
+    def image(self, state: BasisState) -> BasisState:
+        return isa.apply_to_state(self.instr, state)
 
 
 @dataclass(frozen=True)
@@ -514,9 +533,9 @@ def _pc_guard(factor: OperatorExpr) -> int | None:
     return c
 
 
-def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | None]]:
-    """The factors of ``expr`` in application order, nested products
-    expanded in place, and the program-counter guard of each (or None).
+def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | None], bool]:
+    """The factors of ``expr`` in application order, nested products expanded
+    in place, the pc guard of each (or None), and whether all are deterministic.
 
     Built on first use and kept on ``expr`` outside its fields. Nested
     products are expanded with an explicit stack, and the inner products
@@ -537,13 +556,13 @@ def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | None]]:
                 stack.extend(factor.factors)
             else:
                 factors.append(factor)
-    plan = factors, list(map(_pc_guard, factors))
+    plan = factors, list(map(_pc_guard, factors)), all(isinstance(f, Deterministic) for f in factors)
     object.__setattr__(expr, "_plan", plan)
     return plan
 
 
 def apply_primitive(op: Primitive, state: BasisState) -> list[tuple[complex, BasisState]]:
-    """Action of a single primitive on one basis state.
+    """Action of a single primitive (``SetValue`` and ``InstructionOp`` too) on one basis state.
 
     Returns a list of (amplitude, state) results; an empty list means the
     state was annihilated.
@@ -573,13 +592,29 @@ def _dispatch(
     # is a Primitive subclass, the bit-level ones included.
     kind = type(expr)
     if kind is Product:
+        factors, guards, chain = _plan(expr)
+        if chain and len(terms) == 1:
+            # Deterministic leaves keep the amplitude, so the merge after
+            # the first factor is the only one that can change the term.
+            stats.primitive_ops += 1
+            terms = combine([(terms[0][0], factors[0].image(terms[0][1]))], tol)
+            for factor in factors[1:] if terms else ():
+                stats.primitive_ops += 1
+                terms = [(terms[0][0], factor.image(terms[0][1]))]
+            return terms
         # combine is idempotent on its own output, so once the terms have
-        # been combined a guarded factor no live term meets can be skipped.
+        # been combined a guarded factor no live term meets can be skipped,
+        # and so can the merge after a product base, which returns merged terms.
         combined, pcs = False, None
-        factors, guards = _plan(expr)
         for factor, c in zip(factors, guards):
             if c is None:
                 terms = _dispatch(factor, terms, env, budget, tol, stats, halted)
+            elif combined and len(terms) == 1:
+                if terms[0][1].pc != c:
+                    continue
+                terms = _dispatch(factor.base, terms, env, budget, tol, stats, halted)
+                if type(factor.base) is Product:
+                    continue
             else:
                 if combined:
                     if pcs is None:
@@ -610,16 +645,6 @@ def _dispatch(
             out.extend(branch)
         return out
 
-    if kind is SetValue:
-        out = []
-        for amp, state in terms:
-            value = eval_exponent(expr.value, state)
-            if value < 0:
-                raise NegativeExponent(f"set-value target evaluated to {value}")
-            stats.primitive_ops += 1
-            out.append((amp, with_location(state, expr.loc, value)))
-        return out
-
     if isinstance(expr, Primitive):
         stats.primitive_ops += len(terms)
         return [
@@ -633,10 +658,6 @@ def _dispatch(
         for branch in expr.terms:
             out.extend(_dispatch(branch, terms, env, budget, tol, stats, halted))
         return combine(out, tol)
-
-    if kind is InstructionOp:
-        stats.primitive_ops += len(terms)
-        return [(amp, isa.apply_to_state(expr.instr, state)) for amp, state in terms]
 
     if kind is ScalarMul:
         # Terms that halt or re-enter inside are scaled where they were put.

@@ -182,7 +182,10 @@ class Superposition:
         return 0j
 
     def norm_squared(self) -> float:
-        return sum(abs(amp) ** 2 for amp, _ in self.terms)
+        total = 0.0  # summed in term order as inner_product sums, so it equals <v, v>
+        for amp, _ in self.terms:
+            total += amp.real * amp.real + amp.imag * amp.imag
+        return total
 
     def states(self) -> tuple[BasisState, ...]:
         return tuple(s for _, s in self.terms)

@@ -52,6 +52,13 @@ class TestStates:
         assert s.parity_before(0) == 1
         assert s.parity_before(2) == 2
 
+    @pytest.mark.parametrize(("method", "mode"), [("occupancy", -3), ("flipped", -3), ("flipped", 3), ("parity_before", 7)])
+    def test_modes_past_either_end_are_a_one_line_value_error(self, method, mode):
+        # Python indexing would read -3 as mode 0 and slice past the end.
+        state = BitBasisState(0, (1, 0, 0))
+        with pytest.raises(ValueError, match=f"^bit mode {mode} is out of range for 3 modes$"):
+            getattr(state, method)(mode)
+
     @pytest.mark.parametrize("mode_count", range(5))
     def test_flipped_matches_the_constructor(self, mode_count):
         states = list(all_states(mode_count))

@@ -7,8 +7,10 @@ that expands nested products, fires instruction factors by program counter
 and skips those no live term meets, and against two rewrites of the same
 operator: every instruction guard as ``ThetaTheta(Const(0) + (Num(PC) - c))``,
 which the index does not recognise, so every factor's guard is evaluated as
-the paper's product reads; and every nested product wrapped as a one-term
-``Sum``, which the plan does not expand. All runs must agree bit for bit.
+the paper's product reads; every nested product wrapped as a one-term
+``Sum``, which the plan does not expand; and every deterministic leaf
+wrapped as a one-term ``Sum``, so no product runs one term as a chain of
+state images. All runs must agree bit for bit.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from fockvm.operators import (
     PC,
     Const,
     Define,
+    Deterministic,
     EvalStats,
     ExpAdd,
     ExpSub,
@@ -36,6 +39,7 @@ from fockvm.operators import (
     eval_exponent,
     locations,
     sexpr,
+    walk,
 )
 from fockvm.qasm import compile_guarded, parse_program, run_superposed
 from fockvm.state import BasisState, merge, unit
@@ -122,6 +126,21 @@ def hide_nesting(node):
     if isinstance(node, Product):
         factors = (hide_nesting(factor) for factor in node.factors)
         return Product(tuple(Sum((f,)) if isinstance(f, Product) else f for f in factors))
+    return node
+
+
+def hide_leaves(node):
+    """``node`` with every deterministic leaf wrapped as the one-term
+    ``Sum((leaf,))``: the same operator, in a shape no plan runs as a chain,
+    so each leaf's output is merged on its own."""
+    if isinstance(node, Deterministic):
+        return Sum((node,))
+    if isinstance(node, Define):
+        return Define(node.label, hide_leaves(node.body))
+    if isinstance(node, GuardedPower):
+        return GuardedPower(hide_leaves(node.base), node.exponent)
+    if isinstance(node, Product):
+        return Product(tuple(map(hide_leaves, node.factors)))
     return node
 
 
@@ -269,6 +288,22 @@ class TestGuardIndexDifferential:
         assert nested(expr) > 0 and nested(hidden) == 0
         assert sexpr(hidden).count("(Sum ") == nested(expr)
 
+    def test_hide_leaves_leaves_no_chain(self, data_dir):
+        def chains(node):
+            """How many products under ``node`` run as a chain of images."""
+            if isinstance(node, Define):
+                return chains(node.body)
+            if isinstance(node, GuardedPower):
+                return chains(node.base)
+            if isinstance(node, Product):
+                return operators._plan(node)[2] + sum(map(chains, node.factors))
+            return 0
+
+        expr = compile_guarded(parse_program((data_dir / "add.qasm").read_text()))
+        hidden = hide_leaves(expr)
+        assert chains(expr) > 0 and chains(hidden) == 0
+        assert sexpr(hidden).count("(Sum ") == sum(isinstance(n, Deterministic) for n in walk(expr))
+
     def test_random_jumpy_programs(self):
         rng = random.Random(7070)
         kinds = set()
@@ -278,7 +313,7 @@ class TestGuardIndexDifferential:
             fuel = rng.randrange(0, 6)
             expr = compile_guarded(program, fuel)
             nested = nest_steps(expr)
-            others = [hide_guards(expr), hide_nesting(expr), nested, hide_nesting(nested)]
+            others = [hide_guards(expr), hide_nesting(expr), nested, hide_nesting(nested), hide_leaves(expr)]
             # Three inputs that share a length, so the terms can take
             # different branches within one evaluation.
             starts = [
@@ -297,6 +332,9 @@ class TestGuardIndexDifferential:
 
     def test_run_superposed_nesting(self, monkeypatch):
         self.check_run_superposed(monkeypatch, hide_nesting)
+
+    def test_run_superposed_leaves(self, monkeypatch):
+        self.check_run_superposed(monkeypatch, hide_leaves)
 
     @staticmethod
     def check_run_superposed(monkeypatch, hide):

@@ -1,13 +1,17 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockvm import operators
 from fockvm.errors import (
     CopyOntoNonzero,
     FuelExhausted,
+    MachineError,
     NegativeExponent,
+    SubtractUnderflow,
     UndefinedReference,
     UnsupportedLocation,
 )
@@ -23,6 +27,7 @@ from fockvm.operators import (
     Const,
     Copy,
     Define,
+    EvalStats,
     ExpAdd,
     ExpMul,
     ExpSub,
@@ -50,7 +55,7 @@ from fockvm.operators import (
     sexpr,
     summation,
 )
-from fockvm.state import BasisState, merge, unit
+from fockvm.state import DROP_TOLERANCE, BasisState, merge, unit
 
 
 def split_status(expr, s, **kwargs):
@@ -102,6 +107,11 @@ class TestPrimitives:
         with pytest.raises(UnsupportedLocation):
             apply_primitive(Clear(OUT), BasisState())
 
+
+    def test_apply_primitive_takes_set_value_and_instructions(self):
+        assert apply_primitive(SetValue(Mem(0), Const(4)), BasisState()) == [(1, BasisState(mem={0: 4}))]
+        ins = InstructionOp(Instruction(Opcode.ADD, immediate(2)))
+        assert apply_primitive(ins, BasisState(register=3)) == [(1, BasisState(register=5))]
 
     def test_apply_primitive_rejects_composites(self):
         with pytest.raises(TypeError):
@@ -287,6 +297,62 @@ class TestApplyExpr:
         )
         for _, state in separate.terms:
             assert abs(mixed.amplitude(state) - separate.amplitude(state)) <= 1e-12
+
+
+def chained_and_hidden(*factors):
+    """A product of deterministic leaves, as written and with every leaf
+    wrapped as the one-branch ``Sum((leaf,))``, which no plan runs as a
+    chain of state images."""
+    return Product(factors), Product(tuple(Sum((f,)) for f in factors))
+
+
+def evaluate(expr, amp, state):
+    """Everything one evaluation of ``expr`` on the single term reports:
+    the live terms with each amplitude as the bytes of its two doubles, or
+    the error's type and message, and the primitive count."""
+    stats = EvalStats()
+    try:
+        live = operators._dispatch(expr, [(amp, state)], {}, 0, DROP_TOLERANCE, stats, [])
+    except MachineError as error:
+        return type(error), str(error), stats.primitive_ops
+    return [(struct.pack("<dd", a.real, a.imag), s) for a, s in live], stats.primitive_ops
+
+
+class TestDeterministicChain:
+    """A product of deterministic leaves on one term runs as a chain of
+    state images with one merge; every result matches the leaf-by-leaf walk."""
+
+    def test_only_the_written_product_is_a_chain(self):
+        chained, hidden = chained_and_hidden(Clear(Mem(0)), Copy(Mem(0), REGISTER))
+        assert operators._plan(chained)[2] and not operators._plan(hidden)[2]
+
+    def test_a_dropped_term_stops_before_a_later_factor_raises(self):
+        # The copy would raise: the set value leaves the destination nonzero.
+        state = BasisState(register=3)
+        for expr in chained_and_hidden(Copy(Mem(0), REGISTER), SetValue(Mem(0), Const(5))):
+            assert evaluate(expr, 1e-13 + 0j, state) == ([], 1)
+            assert evaluate(expr, 1.0 + 0j, state)[0] is CopyOntoNonzero
+
+    def test_a_signed_zero_comes_out_with_the_same_bits(self):
+        ins = InstructionOp(Instruction(Opcode.ADD, immediate(2)))
+        results = [evaluate(e, complex(1.0, -0.0), BasisState()) for e in chained_and_hidden(Clear(Mem(1)), ins)]
+        assert results[0] == results[1] == ([(struct.pack("<dd", 1.0, 0.0), BasisState(register=2))], 2)
+
+    @pytest.mark.parametrize(
+        ("leaf", "error"),
+        [
+            (SetValue(Mem(0), ExpSub(Const(0), Num(REGISTER))), NegativeExponent),
+            (InstructionOp(Instruction(Opcode.SUBTRACT, immediate(5))), SubtractUnderflow),
+            (Copy(Mem(2), REGISTER), CopyOntoNonzero),
+        ],
+        ids=["set-value", "instruction", "copy"],
+    )
+    def test_errors_match_with_their_count(self, leaf, error):
+        # Applied right to left: the copy fills mem 2, then the leaf raises.
+        chained, hidden = chained_and_hidden(Clear(Mem(1)), leaf, Copy(Mem(2), REGISTER))
+        got = evaluate(chained, 0.6 + 0j, BasisState(register=3))
+        assert got == evaluate(hidden, 0.6 + 0j, BasisState(register=3))
+        assert got[0] is error and got[2] == 2
 
 
 class TestRecursion:

@@ -4,7 +4,7 @@ import pickle
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockvm.bitlevel import BitBasisState
@@ -363,6 +363,17 @@ class TestParseAmplitude:
             parse_amplitude(text)
 
 
+#: Amplitudes on which a norm summed as ``abs(amp) ** 2`` missed <v, v> by
+#: 1.07e-14: ``abs`` rounds through ``hypot``, not through the inner product's sum.
+NORM_AMPS = [
+    -1.65082746029 + 1.57483457583j,
+    1.9472581007 + 1.67065165964j,
+    -1.34624341086 + 1.88817884069j,
+    -1.65969711034 + 1.75351284722j,
+    1.55276011317 + 1.78261987983j,
+]
+
+
 class TestInnerProduct:
     def test_orthonormality(self):
         assert inner_product(unit(S), unit(S)) == 1
@@ -373,6 +384,7 @@ class TestInnerProduct:
         assert inner_product(v, v) == pytest.approx(1.0, abs=1e-14)
 
     @given(superpositions)
+    @example(merge([(amp, BasisState(register=i)) for i, amp in enumerate(NORM_AMPS)]))
     def test_self_product_is_norm_squared(self, v):
         ip = inner_product(v, v)
         assert ip.imag == 0
