@@ -53,10 +53,6 @@ class BitBasisState:
             raise ValueError(f"bits must be 0 or 1, got {bits}")
         object.__setattr__(self, "bits", bits)
 
-    @property
-    def mode_count(self) -> int:
-        return len(self.bits)
-
     def occupancy(self, mode: int) -> int:
         if mode == BIT_REGISTER:
             return self.register

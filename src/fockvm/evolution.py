@@ -4,7 +4,7 @@ Evolution computes sum_{q=0}^{order} (-i t)^q / q! H^q |s0>, with the
 coefficient carried as a running product so any order works, and applies no
 normalization: the example Hamiltonians are not Hermitian, so evolution is
 not unitary, and probabilities should be read through the rule-style
-renormalization in :func:`fockvm.state.probabilities`. A dense-matrix
+renormalization in :func:`fockvm.state.probabilities`. A sparse-matrix
 oracle over the reachable basis provides an independent cross-check.
 
 Mode truncation is strict: when a state occupies a boundary mode that the
@@ -185,34 +185,38 @@ def dense_oracle_evolve(
     order: int,
     bound: int = 10**4,
 ) -> Superposition:
-    """Independent series evolution through an explicit dense matrix.
+    """Independent series evolution through an explicit matrix of H.
 
     Enumerates the basis reachable from ``s0`` within ``order`` applications
-    of the Hamiltonian, builds the matrix of H on it, and runs the same
-    truncated series with matrix powers. Raises
-    :class:`StateSpaceTooLarge` beyond ``bound`` states.
+    of the Hamiltonian, keeps the matrix of H on it as sparse columns of
+    ``(row, entry)`` pairs, and runs the same truncated series with
+    matrix-vector products that skip zero entries (the name dates from a
+    dense array). Raises :class:`StateSpaceTooLarge` beyond ``bound`` states.
     """
-    import numpy as np  # only the oracle needs it, so a plain run never loads it
-
     basis = _reachable_basis(h, s0, order, bound)
     index = {state: i for i, state in enumerate(basis)}
-    dim = len(basis)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for col, state in enumerate(basis):
+    columns: list[list[tuple[int, complex]]] = []
+    for state in basis:
+        column = []
         for amp, image in apply_expr(h.expr, unit(state)).terms:
             row = index.get(image)
             # Images outside the basis come only from maximum-depth states,
             # whose outgoing edges no power up to `order` ever uses.
             if row is not None:
-                matrix[row, col] += amp
-    vec = np.zeros(dim, dtype=complex)
+                column.append((row, amp))
+        columns.append(column)
+    power = [0j] * len(basis)
     for amp, state in s0.terms:
-        vec[index[state]] += amp
-    out = vec.copy()
-    power = vec
+        power[index[state]] += amp
+    out = power
     coeff = 1.0 + 0j
     for q in range(1, order + 1):
-        power = matrix @ power
+        image = [0j] * len(basis)
+        for col, x in enumerate(power):
+            if x:
+                for row, entry in columns[col]:
+                    image[row] += entry * x
+        power = image
         coeff *= -1j * t / q
-        out = out + coeff * power
-    return merge((complex(out[i]), basis[i]) for i in range(dim))
+        out = [o + coeff * p for o, p in zip(out, power)]
+    return merge(zip(out, basis))

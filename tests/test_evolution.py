@@ -224,25 +224,56 @@ class TestAssemblyForm:
             apply_expr(assembly_hop_term(0), start)
 
 
-NUMPY_ON_DEMAND = """
+# Occupations of five consecutive modes, as the hop benchmark starts them:
+# three shapes for each of 4, 5 and 6 quanta, from bunched to spread out.
+HOP_SHAPES = (
+    (2, 2, 0, 0, 0), (1, 1, 1, 1, 0), (1, 0, 1, 1, 1),
+    (3, 1, 1, 0, 0), (1, 2, 1, 1, 0), (1, 1, 1, 1, 1),
+    (2, 2, 2, 0, 0), (2, 1, 1, 1, 1), (1, 1, 2, 1, 1),
+)
+
+
+def shaped(shape, shift):
+    return BasisState(mem={mode + shift: count for mode, count in enumerate(shape) if count})
+
+
+class TestOracleOnHopStarts:
+    @pytest.mark.parametrize("k", range(len(HOP_SHAPES)))
+    def test_every_shape_agrees_with_evolve(self, k):
+        h = build_hop_hamiltonian(24)
+        start = unit(shaped(HOP_SHAPES[k], k % 4))
+        order = 8 + k % 3
+        assert distance(dense_oracle_evolve(h, start, 0.1, order), evolve(h, start, 0.1, order)) <= 1e-12
+
+    def test_two_term_start_agrees_with_evolve(self):
+        h = build_hop_hamiltonian(24)
+        start = merge([(0.6, shaped(HOP_SHAPES[1], 0)), (0.8j, shaped(HOP_SHAPES[7], 2))])
+        assert len(start.terms) == 2
+        assert distance(dense_oracle_evolve(h, start, 0.1, 9), evolve(h, start, 0.1, 9)) <= 1e-12
+
+
+NUMPY_BLOCKED = """
 import json, sys
-import fockvm
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from fockvm import cli
-from fockvm.evolution import build_hop_hamiltonian, dense_oracle_evolve
-from fockvm.state import BasisState, unit
+from fockvm.evolution import build_hop_hamiltonian, dense_oracle_evolve, evolve
+from fockvm.state import BasisState, distance, unit
 code = cli.main(["run", "--input", "2,3", sys.argv[1]])
-after_run = "numpy" in sys.modules
-dense_oracle_evolve(build_hop_hamiltonian(3), unit(BasisState(mem={0: 1})), 0.1, 2)
-print(json.dumps({"code": code, "after_run": after_run, "after_oracle": "numpy" in sys.modules}))
+h, start = build_hop_hamiltonian(8), unit(BasisState(mem={0: 2, 1: 1}))
+gap = distance(dense_oracle_evolve(h, start, 0.1, 5), evolve(h, start, 0.1, 5))
+loaded = sorted(name for name, mod in sys.modules.items() if name.split(".")[0] == "numpy" and mod is not None)
+print(json.dumps({"code": code, "gap": gap, "loaded": loaded}))
 """
 
 
-class TestNumpyOnDemand:
-    def test_only_the_dense_oracle_loads_numpy(self, data_dir):
+class TestStandardLibraryOnly:
+    def test_nothing_needs_numpy(self, data_dir):
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
-            [sys.executable, "-c", NUMPY_ON_DEMAND, str(data_dir / "add.qasm")],
+            [sys.executable, "-c", NUMPY_BLOCKED, str(data_dir / "add.qasm")],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True,
         )
         got = json.loads(done.stdout.splitlines()[-1])
-        assert got == {"code": 0, "after_run": False, "after_oracle": True}
+        assert got["code"] == 0
+        assert got["gap"] <= 1e-10
+        assert got["loaded"] == []
