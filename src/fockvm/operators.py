@@ -49,7 +49,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import islice
 from typing import Iterator, Mapping, Union
 
 from . import isa
@@ -60,7 +62,7 @@ from .errors import (
     UndefinedReference,
     UnsupportedLocation,
 )
-from .state import DROP_TOLERANCE, SIGNIFICANT_DIGITS, BasisState, Superposition, combine, merge
+from .state import DROP_TOLERANCE, SIGNIFICANT_DIGITS, BasisState, PendingState, Superposition, combine, merge
 
 #: Default budget of re-entry passes, matching the default fuel counter.
 DEFAULT_FUEL_BUDGET = 10
@@ -255,24 +257,34 @@ class OperatorExpr:
     """
 
     def __add__(self, other):
-        return Sum((self, _as_operator(other)))
+        if (other := _as_operator(other)) is NotImplemented:
+            return other
+        return Sum((self, other))
 
     def __radd__(self, other):
-        return Sum((_as_operator(other), self))
+        if (other := _as_operator(other)) is NotImplemented:
+            return other
+        return Sum((other, self))
 
     def __sub__(self, other):
-        return Sum((self, ScalarMul(-1.0 + 0j, _as_operator(other))))
+        if (other := _as_operator(other)) is NotImplemented:
+            return other
+        return Sum((self, ScalarMul(-1.0 + 0j, other)))
 
     def __rsub__(self, other):
-        return Sum((_as_operator(other), ScalarMul(-1.0 + 0j, self)))
+        if (other := _as_operator(other)) is NotImplemented:
+            return other
+        return Sum((other, ScalarMul(-1.0 + 0j, self)))
 
     def __mul__(self, other):
-        return Product((self, _as_operator(other)))
+        if (other := _as_operator(other)) is NotImplemented:
+            return other
+        return Product((self, other))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Complex):
             return ScalarMul(complex(other), self)
-        return Product((_as_operator(other), self))
+        return NotImplemented
 
 
 class Primitive(OperatorExpr):
@@ -285,7 +297,13 @@ class Primitive(OperatorExpr):
 
 
 class Deterministic(Primitive):
-    """A leaf whose ``image`` maps a state to exactly one, factor one, or raises."""
+    """A leaf whose ``image`` maps a state to exactly one, factor one, or raises.
+
+    An ``image`` reads and writes its state only through ``BasisState``'s
+    read and update interface (the fields, ``mem_value``, the ``with_*``
+    updates, ``pop_input`` and ``append_output``), so a product can run it
+    on a ``PendingState``, whose updates write in place.
+    """
 
     def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
         return [(1.0 + 0j, self.image(state))]
@@ -384,8 +402,11 @@ class Product(OperatorExpr):
     the terms have been merged it is skipped while no term has ``pc == c``,
     which is exactly the identity.
 
-    A plan of ``Deterministic`` leaves given one term chains their images:
-    they keep the amplitude, so only the merge after the first can act.
+    A run of consecutive ``Deterministic`` leaves that one live term meets
+    is applied by :func:`_run` to one ``PendingState``, which records one
+    basis state at its end: the leaves keep the amplitude, so only the
+    merge after the first can act. A plan that is one run is entered
+    directly, and so is the base of a fired guard when it is such a plan.
     """
 
     factors: tuple[OperatorExpr, ...]
@@ -484,14 +505,14 @@ def scaled(scalar: complex, expr: OperatorExpr) -> OperatorExpr:
     return ScalarMul(complex(scalar), expr)
 
 
-def _as_operator(value: Union[complex, OperatorExpr]) -> OperatorExpr:
+def _as_operator(value: object) -> OperatorExpr:
+    """``value`` as an operator: a number is that multiple of the identity,
+    and anything else is ``NotImplemented``, so Python tries its reflection."""
     if isinstance(value, OperatorExpr):
         return value
-    if value == 1:
-        return Identity()
-    if isinstance(value, (int, float, complex)):
-        return ScalarMul(complex(value), Identity())
-    raise TypeError(f"cannot use {value!r} as an operator")
+    if not isinstance(value, numbers.Complex):
+        return NotImplemented
+    return Identity() if value == 1 else ScalarMul(complex(value), Identity())
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +554,14 @@ def _pc_guard(factor: OperatorExpr) -> int | None:
     return c
 
 
-def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | None], bool]:
+def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | list | None], bool]:
     """The factors of ``expr`` in application order, nested products expanded
-    in place, the pc guard of each (or None), and whether all are deterministic.
+    in place; the mark of each, which says how the walk applies it; and
+    whether the plan is one run of deterministic leaves.
+
+    A factor's mark is its pc guard ``c``; for a ``Deterministic`` factor,
+    the run of consecutive ``Deterministic`` factors that starts at it; and
+    None for any other factor.
 
     Built on first use and kept on ``expr`` outside its fields. Nested
     products are expanded with an explicit stack, and the inner products
@@ -556,9 +582,37 @@ def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | None], bool]:
                 stack.extend(factor.factors)
             else:
                 factors.append(factor)
-    plan = factors, list(map(_pc_guard, factors)), all(isinstance(f, Deterministic) for f in factors)
+    marks = list(map(_pc_guard, factors))
+    if None in marks:  # a guarded factor is not deterministic
+        end = len(factors)
+        for i in reversed(range(len(factors))):
+            if isinstance(factors[i], Deterministic):
+                marks[i] = factors[i:end]
+            else:
+                end = i
+    plan = factors, marks, type(marks[0]) is list and len(marks[0]) == len(factors)
     object.__setattr__(expr, "_plan", plan)
     return plan
+
+
+def _run(factors: list[Deterministic], term: Term, tol: float, stats: EvalStats) -> list[Term]:
+    """Apply a run of deterministic leaves to one term, as the walk would.
+
+    The leaves keep the amplitude, so the merge after the first is the only
+    one that can change the term: it drops it below ``tol`` and normalises
+    a signed zero. Their images write one pending state, recorded once.
+    """
+    amp, state = term
+    state = PendingState(state)
+    stats.primitive_ops += 1
+    factors[0].image(state)
+    amp = 0j + amp
+    if abs(amp) < tol:
+        return []
+    for factor in factors[1:]:
+        stats.primitive_ops += 1
+        factor.image(state)
+    return [(amp, state.record())]
 
 
 def apply_primitive(op: Primitive, state: BasisState) -> list[tuple[complex, BasisState]]:
@@ -592,29 +646,42 @@ def _dispatch(
     # is a Primitive subclass, the bit-level ones included.
     kind = type(expr)
     if kind is Product:
-        factors, guards, chain = _plan(expr)
-        if chain and len(terms) == 1:
-            # Deterministic leaves keep the amplitude, so the merge after
-            # the first factor is the only one that can change the term.
-            stats.primitive_ops += 1
-            terms = combine([(terms[0][0], factors[0].image(terms[0][1]))], tol)
-            for factor in factors[1:] if terms else ():
-                stats.primitive_ops += 1
-                terms = [(terms[0][0], factor.image(terms[0][1]))]
-            return terms
+        factors, marks, whole = _plan(expr)
+        if whole and len(terms) == 1:
+            return _run(factors, terms[0], tol, stats)
         # combine is idempotent on its own output, so once the terms have
         # been combined a guarded factor no live term meets can be skipped,
         # and so can the merge after a product base, which returns merged terms.
         combined, pcs = False, None
-        for factor, c in zip(factors, guards):
+        steps = zip(factors, marks)
+        for factor, c in steps:
             if c is None:
                 terms = _dispatch(factor, terms, env, budget, tol, stats, halted)
+            elif type(c) is list:
+                if len(terms) != 1:
+                    terms = _dispatch(factor, terms, env, budget, tol, stats, halted)
+                else:
+                    # c is the run that starts here: apply it, then pass its
+                    # further factors by.
+                    terms = _run(c, terms[0], tol, stats)
+                    combined, pcs = True, None
+                    for _ in islice(steps, len(c) - 1):
+                        pass
+                    continue
             elif combined and len(terms) == 1:
                 if terms[0][1].pc != c:
                     continue
-                terms = _dispatch(factor.base, terms, env, budget, tol, stats, halted)
-                if type(factor.base) is Product:
+                base = factor.base
+                if type(base) is Product:
+                    # A product returns merged terms; one that is a whole
+                    # run is entered directly.
+                    inner, _, inner_whole = _plan(base)
+                    if inner_whole:
+                        terms = _run(inner, terms[0], tol, stats)
+                    else:
+                        terms = _dispatch(base, terms, env, budget, tol, stats, halted)
                     continue
+                terms = _dispatch(base, terms, env, budget, tol, stats, halted)
             else:
                 if combined:
                     if pcs is None:

@@ -5,8 +5,9 @@ integer label (ignored), ``;`` comments, and operands that are symbolic
 names, ``#k`` immediates, ``[k]`` raw addresses, or a signed count for
 SHIFT. Symbolic operands are assigned addresses in first-use order starting
 at zero. Immediate operands are backed by a constant pool placed after the
-symbols; the pool is written into memory before execution in both the
-interpreter and the operator form, so final memories agree between the two.
+symbols; the pool is written into memory before execution, and an immediate
+is read from its pool word, in both the interpreter and the operator form,
+so final memories agree between the two even after a store into the pool.
 
 Compilation produces operator expressions over :mod:`fockvm.operators`:
 
@@ -242,6 +243,7 @@ def interpret(program: Program, input_values: list[int], step_limit: int = DEFAU
     """Big-step classical execution. The program counter starts at one."""
     if step_limit <= 0:
         raise ValueError(f"step limit must be positive, got {step_limit}")
+    pool_addr = _pool_value_to_addr(program)
     mem = dict(program.pool)
     register = 0
     pc = 1
@@ -261,8 +263,11 @@ def interpret(program: Program, input_values: list[int], step_limit: int = DEFAU
             break
         operand_value = None
         if ins.operand is not None:
-            if ins.operand.kind is OperandKind.ADDRESS:
+            kind = ins.operand.kind
+            if kind is OperandKind.ADDRESS:
                 operand_value = mem.get(ins.operand.value, 0)
+            elif kind is OperandKind.IMMEDIATE:
+                operand_value = mem.get(pool_addr[ins.operand.value], 0)
             else:
                 operand_value = ins.operand.value
         if op is Opcode.LOAD:
@@ -285,8 +290,6 @@ def interpret(program: Program, input_values: list[int], step_limit: int = DEFAU
             if register == 0:
                 pc = operand_value
                 continue
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled opcode {op}")
         pc += 1
     final = BasisState(
         register=register,

@@ -288,8 +288,6 @@ class _Parser:
             self.next()
             return LabelStmt(tok.text)
         if tok.kind == "ident" and self.peek(1).text == "=":
-            if tok.text in _KEYWORDS:
-                raise ParseError(f"{tok.text!r} is a keyword", tok.line, tok.column)
             self.next()
             self.next()
             expr = self.parse_expr()

@@ -9,7 +9,9 @@ amplitudes are complex doubles. Basis vectors are unit norm by construction.
 A basis state is a slotted record, validated once, when it is constructed.
 An update (``with_register``, ``with_mem``, ``pop_input`` and the rest)
 builds a new state from a valid one and checks only the value it writes;
-the fields it copies were checked when their source state was built.
+the fields it copies were checked when their source state was built. A
+``PendingState`` offers the same updates, written in place, to a run of
+updates that needs only the state it ends in.
 
 Superpositions are finite lists of (amplitude, basis state) terms kept in a
 canonical form: identical states merged, near-zero amplitudes dropped, terms
@@ -119,13 +121,7 @@ class BasisState:
         return _record(self.register, self.pc, _check_counter("fuel", value), self.mem, self.input, self.output)
 
     def with_mem(self, addr: int, value: int) -> "BasisState":
-        _check_counter("memory address", addr)
-        _check_counter("memory value", value, addr)
-        mem = self.mem
-        i = bisect_left(mem, (addr,))
-        end = i + 1 if i < len(mem) and mem[i][0] == addr else i
-        cell = ((addr, value),) if value > 0 else ()
-        return _record(self.register, self.pc, self.fuel, mem[:i] + cell + mem[end:], self.input, self.output)
+        return _record(self.register, self.pc, self.fuel, _with_cell(self.mem, addr, value), self.input, self.output)
 
     def pop_input(self) -> tuple[int, "BasisState"]:
         """Consume the head of the input stream."""
@@ -136,6 +132,16 @@ class BasisState:
     def append_output(self, value: int) -> "BasisState":
         output = self.output + (_check_counter("output value", value),)
         return _record(self.register, self.pc, self.fuel, self.mem, self.input, output)
+
+
+def _with_cell(mem: tuple[tuple[int, int], ...], addr: int, value: int) -> tuple[tuple[int, int], ...]:
+    """``mem`` with ``addr`` holding ``value``, checked; a zero removes the cell."""
+    _check_counter("memory address", addr)
+    _check_counter("memory value", value, addr)
+    i = bisect_left(mem, (addr,))
+    end = i + 1 if i < len(mem) and mem[i][0] == addr else i
+    cell = ((addr, value),) if value > 0 else ()
+    return mem[:i] + cell + mem[end:]
 
 
 # Each slot's member descriptor writes it directly, past the frozen __setattr__.
@@ -154,6 +160,60 @@ def _record(register, pc, fuel, mem, input, output) -> BasisState:
     _set_input(state, input)
     _set_output(state, output)
     return state
+
+
+class PendingState:
+    """A basis state under a run of updates, written in place.
+
+    It has ``BasisState``'s read and update interface: the six fields,
+    ``mem_value``, the ``with_*`` updates, ``pop_input`` and
+    ``append_output``. Each update checks the value it writes as the
+    ``BasisState`` update does, stores it, and returns the pending state
+    itself, so code that reads and writes a state only through that
+    interface runs unchanged on either. :meth:`record` then builds the one
+    basis state the updates lead to.
+    """
+
+    __slots__ = ("register", "pc", "fuel", "mem", "input", "output")
+
+    def __init__(self, state: BasisState) -> None:
+        self.register = state.register
+        self.pc = state.pc
+        self.fuel = state.fuel
+        self.mem = state.mem
+        self.input = state.input
+        self.output = state.output
+
+    mem_value = BasisState.mem_value
+
+    def with_register(self, value: int) -> "PendingState":
+        self.register = _check_counter("register", value)
+        return self
+
+    def with_pc(self, value: int) -> "PendingState":
+        self.pc = _check_counter("pc", value)
+        return self
+
+    def with_fuel(self, value: int) -> "PendingState":
+        self.fuel = _check_counter("fuel", value)
+        return self
+
+    def with_mem(self, addr: int, value: int) -> "PendingState":
+        self.mem = _with_cell(self.mem, addr, value)
+        return self
+
+    def pop_input(self) -> tuple[int, "PendingState"]:
+        if not self.input:
+            raise InputExhausted("input stream is empty")
+        value, self.input = self.input[0], self.input[1:]
+        return value, self
+
+    def append_output(self, value: int) -> "PendingState":
+        self.output += (_check_counter("output value", value),)
+        return self
+
+    def record(self) -> BasisState:
+        return _record(self.register, self.pc, self.fuel, self.mem, self.input, self.output)
 
 
 @dataclass(frozen=True)

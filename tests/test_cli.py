@@ -405,6 +405,31 @@ class TestQcCommands:
         assert f"nested deeper than {MAX_EXPR_DEPTH} levels" in err
 
 
+class TestPoolWordStores:
+    """A store into a constant-pool word changes that constant for every
+    later immediate, in both modes. The pool word of #1 is address 2, and
+    p + 2 is the pool word of 2."""
+
+    QASM = "LOAD #9\nSTORE [2]\nLOAD x\nADD #1\nSTORE y\nOUTPUT y\nHALT\n"
+    QC = "input(a); b = a + 2; p = &b; *(p + 2) = 40; b = b + 2; output(b); halt;\n"
+
+    @pytest.mark.parametrize("mode", ["interp", "algebraic"])
+    def test_assembly(self, capsys, tmp_path, mode):
+        path = tmp_path / "pool.qasm"
+        path.write_text(self.QASM)
+        code, out, err = run_cli(capsys, "run", str(path), "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == ["output: [9]", "register: 9", "memory: {1: 9, 2: 9, 3: 9}"]
+
+    @pytest.mark.parametrize("mode", ["interp", "algebraic"])
+    def test_c_pointer(self, capsys, tmp_path, mode):
+        path = tmp_path / "pool.qc"
+        path.write_text(self.QC)
+        code, out, err = run_cli(capsys, "qc", "run", str(path), "--input", "1", "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["output: [43]", "register: 43"]
+
+
 class TestCountingLoop:
     """n = 300 iterations make 300 backward jumps; an algebraic run needs
     exactly that much fuel and has no other depth limit."""

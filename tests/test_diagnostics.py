@@ -5,6 +5,8 @@ library case pins the argument check by its message.
 """
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,7 @@ from fockvm.operators import (
     Num,
     NumberOp,
     Product,
+    ScalarMul,
     Sum,
     apply_expr,
     apply_with_status,
@@ -42,6 +45,7 @@ ADD = "INPUT x\nINPUT y\nLOAD x\nADD y\nSTORE z\nOUTPUT z\nHALT\n"
         (("assemble",), "a.qasm", "LOAD #1x\n", 2, "parse error: line 1: malformed immediate '#1x'"),
         (("assemble",), "a.qasm", "LOAD a b\n", 2, "parse error: line 1: too many operands for LOAD"),
         (("qc", "compile"), "a.qc", "input(1);\n", 2, "parse error: line 1, column 7: expected a name, got '1'"),
+        (("qc", "compile"), "a.qc", "halt = 3;\n", 2, "parse error: line 1, column 6: expected ';', got '='"),
         (
             ("qc", "compile"), "a.qc", "if (a == 1) goto x;\n", 2,
             "parse error: line 1, column 10: conditions compare against 0",
@@ -106,3 +110,19 @@ class TestOperatorArithmetic:
         assert minus == ExpSub(Const(10), Num(Mem(0)))
         assert times == ExpMul(Num(Mem(0)), Const(4))
         assert [eval_exponent(e, state) for e in (plus, minus, times)] == [10, 3, 28]
+
+    @pytest.mark.parametrize("number", [1, Fraction(1), 2, Fraction(2), 0.5, 1.5j], ids=repr)
+    def test_a_number_on_either_side_is_a_scalar(self, number):
+        op, value = Lower(Mem(0)), complex(number)
+        assert number * op == ScalarMul(value, op)
+        assert op * number == Product((op, Identity() if value == 1 else ScalarMul(value, Identity())))
+
+    @pytest.mark.parametrize("other", ["x", None, Decimal(2)], ids=repr)
+    def test_anything_else_is_a_type_error(self, other):
+        op = Lower(Mem(0))
+        for build in (
+            lambda: other * op, lambda: op * other, lambda: other + op,
+            lambda: op + other, lambda: other - op, lambda: op - other,
+        ):
+            with pytest.raises(TypeError):
+                build()

@@ -360,35 +360,26 @@ class TestOracleEquivalence:
             assert abs(abs(amp) - 1) <= 1e-12
 
     def test_interpret_equals_algebraic_on_random_jumpy_programs(self):
+        self.check_jumpy_programs(random.Random(555), pool_writes=False)
+
+    def test_interpret_equals_algebraic_after_stores_into_pool_words(self):
+        # Raw-address STOREs and INPUTs overwrite constant-pool words, so a
+        # later immediate reads the stored value in both back ends.
+        self.check_jumpy_programs(random.Random(556), pool_writes=True)
+
+    @staticmethod
+    def check_jumpy_programs(rng, pool_writes):
         # Programs with random conditional and unconditional jumps. Clean
         # classical halts must match the operator run exactly; classical
         # divergence or runtime errors must surface as machine errors in
         # the operator run too.
         from fockvm.errors import MachineError
 
-        rng = random.Random(555)
         halted = 0
         erring = 0
         for _ in range(400):
-            lines = []
-            inputs = []
-            for _ in range(rng.randrange(3, 14)):
-                roll = rng.random()
-                if roll < 0.15:
-                    lines.append(f"LOAD #{rng.randrange(0, 12)}")
-                elif roll < 0.3:
-                    lines.append(f"STORE {rng.choice(VARS)}")
-                elif roll < 0.4:
-                    lines.append(f"INPUT {rng.choice(VARS)}")
-                    inputs.append(rng.randrange(0, 12))
-                elif roll < 0.55:
-                    lines.append(f"{rng.choice(['ADD', 'SUBTRACT'])} #{rng.randrange(0, 4)}")
-                elif roll < 0.75:
-                    lines.append(f"TZR {rng.choice(VARS)}")
-                else:
-                    lines.append(f"TRA {rng.choice(VARS)}")
-            lines.append("HALT")
-            program = parse_program("\n".join(lines) + "\n")
+            text, inputs = random_jumpy_program(rng, pool_writes)
+            program = parse_program(text)
             try:
                 reference = interpret(program, inputs, step_limit=200)
             except MachineError as classical_error:
@@ -405,6 +396,40 @@ class TestOracleEquivalence:
             assert got.pc == want.pc
             assert abs(abs(amp) - 1) <= 1e-12
         assert halted >= 20 and erring >= 20
+
+
+def random_jumpy_program(rng: random.Random, pool_writes: bool) -> tuple[str, list[int]]:
+    """A random program with jumps, and its inputs. With ``pool_writes``,
+    some steps are raw-address STOREs and INPUTs into constant-pool words."""
+    lines = []
+    inputs = []
+    for _ in range(rng.randrange(3, 14)):
+        if pool_writes and rng.random() < 0.2:
+            lines.append(rng.choice(["STORE", "INPUT"]) + " [pool]")
+            if lines[-1].startswith("INPUT"):
+                inputs.append(rng.randrange(0, 12))
+            continue
+        roll = rng.random()
+        if roll < 0.15:
+            lines.append(f"LOAD #{rng.randrange(0, 12)}")
+        elif roll < 0.3:
+            lines.append(f"STORE {rng.choice(VARS)}")
+        elif roll < 0.4:
+            lines.append(f"INPUT {rng.choice(VARS)}")
+            inputs.append(rng.randrange(0, 12))
+        elif roll < 0.55:
+            lines.append(f"{rng.choice(['ADD', 'SUBTRACT'])} #{rng.randrange(0, 4)}")
+        elif roll < 0.75:
+            lines.append(f"TZR {rng.choice(VARS)}")
+        else:
+            lines.append(f"TRA {rng.choice(VARS)}")
+    lines.append("HALT")
+    text = "\n".join(lines) + "\n"
+    # A raw address adds no symbol, so the pool is the same for any address.
+    pool = sorted(parse_program(text.replace("[pool]", "[0]")).pool) or [0]
+    while "[pool]" in text:
+        text = text.replace("[pool]", f"[{rng.choice(pool)}]", 1)
+    return text, inputs
 
 
 COUNTING_LOOP = """
