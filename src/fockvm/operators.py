@@ -257,29 +257,24 @@ class OperatorExpr:
     """
 
     def __add__(self, other):
-        if (other := _as_operator(other)) is NotImplemented:
-            return other
-        return Sum((self, other))
+        other = _as_operator(other)
+        return other if other is NotImplemented else Sum((self, other))
 
     def __radd__(self, other):
-        if (other := _as_operator(other)) is NotImplemented:
-            return other
-        return Sum((other, self))
+        other = _as_operator(other)
+        return other if other is NotImplemented else Sum((other, self))
 
     def __sub__(self, other):
-        if (other := _as_operator(other)) is NotImplemented:
-            return other
-        return Sum((self, ScalarMul(-1.0 + 0j, other)))
+        other = _as_operator(other)
+        return other if other is NotImplemented else Sum((self, ScalarMul(-1.0 + 0j, other)))
 
     def __rsub__(self, other):
-        if (other := _as_operator(other)) is NotImplemented:
-            return other
-        return Sum((other, ScalarMul(-1.0 + 0j, self)))
+        other = _as_operator(other)
+        return other if other is NotImplemented else Sum((other, ScalarMul(-1.0 + 0j, self)))
 
     def __mul__(self, other):
-        if (other := _as_operator(other)) is NotImplemented:
-            return other
-        return Product((self, other))
+        other = _as_operator(other)
+        return other if other is NotImplemented else Product((self, other))
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):

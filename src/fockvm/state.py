@@ -163,15 +163,10 @@ def _record(register, pc, fuel, mem, input, output) -> BasisState:
 
 
 class PendingState:
-    """A basis state under a run of updates, written in place.
-
-    It has ``BasisState``'s read and update interface: the six fields,
-    ``mem_value``, the ``with_*`` updates, ``pop_input`` and
-    ``append_output``. Each update checks the value it writes as the
-    ``BasisState`` update does, stores it, and returns the pending state
-    itself, so code that reads and writes a state only through that
-    interface runs unchanged on either. :meth:`record` then builds the one
-    basis state the updates lead to.
+    """A basis state under a run of updates: ``BasisState``'s read and update
+    interface, written in place. Each update checks the value it writes as
+    ``BasisState``'s does and returns the pending state itself; :meth:`record`
+    builds the one basis state the updates lead to.
     """
 
     __slots__ = ("register", "pc", "fuel", "mem", "input", "output")
