@@ -578,7 +578,7 @@ def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | list | None], b
             else:
                 factors.append(factor)
     marks = list(map(_pc_guard, factors))
-    if None in marks:  # a guarded factor is not deterministic
+    if None in marks:  # only an unguarded factor can be deterministic
         end = len(factors)
         for i in reversed(range(len(factors))):
             if isinstance(factors[i], Deterministic):
