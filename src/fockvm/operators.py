@@ -51,7 +51,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator, Mapping, Union
 
 from . import isa
@@ -296,8 +296,9 @@ class Deterministic(Primitive):
 
     An ``image`` reads and writes its state only through ``BasisState``'s
     read and update interface (the fields, ``mem_value``, the ``with_*``
-    updates, ``pop_input`` and ``append_output``), so a product can run it
-    on a ``PendingState``, whose updates write in place.
+    updates, ``pop_input`` and ``append_output``) and returns the state its
+    updates return, so a product can run it on a ``PendingState``, whose
+    updates write in place.
     """
 
     def act(self, state: BasisState) -> list[tuple[complex, BasisState]]:
@@ -401,7 +402,7 @@ class Product(OperatorExpr):
     is applied by :func:`_run` to one ``PendingState``, which records one
     basis state at its end: the leaves keep the amplitude, so only the
     merge after the first can act. A plan that is one run is entered
-    directly, and so is the base of a fired guard when it is such a plan.
+    directly.
     """
 
     factors: tuple[OperatorExpr, ...]
@@ -554,9 +555,9 @@ def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | list | None], b
     in place; the mark of each, which says how the walk applies it; and
     whether the plan is one run of deterministic leaves.
 
-    A factor's mark is its pc guard ``c``; for a ``Deterministic`` factor,
-    the run of consecutive ``Deterministic`` factors that starts at it; and
-    None for any other factor.
+    A factor's mark is its pc guard ``c``; for the first factor of a run of
+    consecutive ``Deterministic`` factors, that run; and None for any other
+    factor, the rest of a run included. The runs share no factor.
 
     Built on first use and kept on ``expr`` outside its fields. Nested
     products are expanded with an explicit stack, and the inner products
@@ -579,12 +580,12 @@ def _plan(expr: Product) -> tuple[list[OperatorExpr], list[int | list | None], b
                 factors.append(factor)
     marks = list(map(_pc_guard, factors))
     if None in marks:  # only an unguarded factor can be deterministic
-        end = len(factors)
-        for i in reversed(range(len(factors))):
-            if isinstance(factors[i], Deterministic):
-                marks[i] = factors[i:end]
-            else:
-                end = i
+        start = 0
+        for deterministic, group in groupby(factors, lambda f: isinstance(f, Deterministic)):
+            end = start + sum(1 for _ in group)
+            if deterministic:
+                marks[start] = factors[start:end]
+            start = end
     plan = factors, marks, type(marks[0]) is list and len(marks[0]) == len(factors)
     object.__setattr__(expr, "_plan", plan)
     return plan
@@ -594,19 +595,17 @@ def _run(factors: list[Deterministic], term: Term, tol: float, stats: EvalStats)
     """Apply a run of deterministic leaves to one term, as the walk would.
 
     The leaves keep the amplitude, so the merge after the first is the only
-    one that can change the term: it drops it below ``tol`` and normalises
-    a signed zero. Their images write one pending state, recorded once.
+    one that can change the term. Their images write one pending state,
+    recorded once.
     """
-    amp, state = term
-    state = PendingState(state)
     stats.primitive_ops += 1
-    factors[0].image(state)
-    amp = 0j + amp
-    if abs(amp) < tol:
+    terms = combine([(term[0], factors[0].image(PendingState(term[1])))], tol)
+    if not terms:
         return []
+    [(amp, state)] = terms
     for factor in factors[1:]:
         stats.primitive_ops += 1
-        factor.image(state)
+        state = factor.image(state)
     return [(amp, state.record())]
 
 
@@ -666,17 +665,9 @@ def _dispatch(
             elif combined and len(terms) == 1:
                 if terms[0][1].pc != c:
                     continue
-                base = factor.base
-                if type(base) is Product:
-                    # A product returns merged terms; one that is a whole
-                    # run is entered directly.
-                    inner, _, inner_whole = _plan(base)
-                    if inner_whole:
-                        terms = _run(inner, terms[0], tol, stats)
-                    else:
-                        terms = _dispatch(base, terms, env, budget, tol, stats, halted)
+                terms = _dispatch(factor.base, terms, env, budget, tol, stats, halted)
+                if type(factor.base) is Product:
                     continue
-                terms = _dispatch(base, terms, env, budget, tol, stats, halted)
             else:
                 if combined:
                     if pcs is None:

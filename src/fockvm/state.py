@@ -269,7 +269,7 @@ def combine(terms: list[tuple[complex, _S]], drop_tolerance: float) -> list[tupl
     are summed and sorted on their :func:`_order_key`: the field order.
     """
     if len(terms) == 1:
-        # The common case of a deterministic run: nothing to sum or sort.
+        # One term, as after a deterministic run's first leaf: nothing to sum or sort.
         [(amp, state)] = terms
         amp = 0j + amp
         return [(amp, state)] if abs(amp) >= drop_tolerance else []

@@ -12,28 +12,34 @@ from pathlib import Path
 
 import pytest
 
+from fockvm import operators
 from fockvm.evolution import Hamiltonian
 from fockvm.grammar import parse_grammar, transition_probability
 from fockvm.operators import (
     END,
     PC,
     Bra,
+    Clear,
     Const,
+    Deterministic,
     Define,
     GuardedPower,
     Identity,
     Mem,
     Num,
+    NumberOp,
     Product,
     Raise,
     ScalarMul,
     Sum,
+    apply_expr,
     locations,
     sexpr,
     walk,
 )
 from fockvm.qasm import interpret, parse_program, run_algebraic
 from fockvm.qcc import AddressOf, CAst, Deref, OutputStmt, Var, uses_pointers
+from fockvm.state import BasisState, unit
 
 DEPTH = 3000
 REPO = Path(__file__).resolve().parent.parent
@@ -62,6 +68,21 @@ def test_deep_chain_dumps_and_scans(name):
     expr = chain(leaf, wrap)
     assert sexpr(expr) == before * DEPTH + sexpr(leaf) + after * DEPTH
     assert locations(expr) == {Mem(5)}
+
+
+@pytest.mark.parametrize("period", [DEPTH + 1, 3])
+def test_deep_chain_of_deterministic_leaves_keeps_each_leaf_in_one_run(period):
+    # Every period-th level also holds a NumberOp, which ends a run.
+    expr = Clear(Mem(5))
+    for level in range(1, DEPTH + 1):
+        inner = (NumberOp(Mem(6)), expr) if level % period == 0 else (expr,)
+        expr = Product((Clear(Mem(5)),) + inner)
+    factors, marks, whole = operators._plan(expr)
+    runs = [mark for mark in marks if type(mark) is list]
+    assert sum(map(len, runs)) == sum(isinstance(f, Deterministic) for f in factors) == DEPTH + 1
+    assert whole == (len(runs) == 1)
+    start = BasisState().with_mem(5, 7).with_mem(6, 1)
+    assert apply_expr(expr, unit(start)) == unit(BasisState().with_mem(6, 1))
 
 
 def test_hamiltonian_over_a_deep_sum():
