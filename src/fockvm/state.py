@@ -269,7 +269,7 @@ def combine(terms: list[tuple[complex, _S]], drop_tolerance: float) -> list[tupl
     are summed and sorted on their :func:`_order_key`: the field order.
     """
     if len(terms) == 1:
-        # One term, as after a deterministic run's first leaf: nothing to sum or sort.
+        # One term: nothing to sum or sort. operators._run repeats this rule inline.
         [(amp, state)] = terms
         amp = 0j + amp
         return [(amp, state)] if abs(amp) >= drop_tolerance else []

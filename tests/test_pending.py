@@ -32,6 +32,7 @@ from fockvm.operators import (
     Clear,
     Const,
     Copy,
+    Deterministic,
     EvalStats,
     GuardedPower,
     InstructionOp,
@@ -212,6 +213,20 @@ class TestErrorsInARun:
             assert got[0] is error and got[2] == position + 1
         else:
             assert got == ([], 1)
+
+
+class Rebuild(Deterministic):
+    """A leaf that breaks the image contract: it builds a new basis state
+    instead of updating the one it is given."""
+
+    def image(self, state):
+        return BasisState(register=state.register + 1)
+
+
+def test_a_leaf_that_builds_its_own_state_is_not_lost_silently():
+    expr = Product((Rebuild(), Clear(Mem(5))))
+    with pytest.raises(AttributeError):
+        evaluate(expr, [(1.0 + 0j, BasisState(mem={5: 7}))])
 
 
 def test_one_record_per_retired_instruction(monkeypatch):
