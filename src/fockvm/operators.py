@@ -402,7 +402,7 @@ class Product(OperatorExpr):
     is applied by :func:`_run` to one ``PendingState``, which records one
     basis state at its end: the leaves keep the amplitude, so only the
     merge after the first can act. A plan that is one run is entered
-    directly.
+    directly, and so is the base of a fired guard when it is such a plan.
     """
 
     factors: tuple[OperatorExpr, ...]
@@ -666,9 +666,17 @@ def _dispatch(
             elif combined and len(terms) == 1:
                 if terms[0][1].pc != c:
                     continue
-                terms = _dispatch(factor.base, terms, env, budget, tol, stats, halted)
-                if type(factor.base) is Product:
+                base = factor.base
+                if type(base) is Product:
+                    # A product returns merged terms; one that is a whole
+                    # run is entered directly.
+                    inner, _, inner_whole = _plan(base)
+                    if inner_whole:
+                        terms = _run(inner, terms[0], tol, stats)
+                    else:
+                        terms = _dispatch(base, terms, env, budget, tol, stats, halted)
                     continue
+                terms = _dispatch(base, terms, env, budget, tol, stats, halted)
             else:
                 if combined:
                     if pcs is None:
