@@ -272,11 +272,14 @@ class TestApplyExpr:
         [(amp, out)] = apply_expr(expr, unit(BasisState(register=6, mem={0: 7}))).terms
         assert amp == 1 and out.register == 42
 
+    # The evaluator drops a term below DROP_TOLERANCE after each factor, so
+    # A(a s) = a A(s) holds to that tolerance only for a = 0 or |a| >= it:
+    # a = 8.6e-13 is dropped after Lower and never reaches Raise's sqrt(2).
     @given(
         v1=st.integers(0, 6),
         v2=st.integers(0, 6),
-        amps1=st.floats(-1, 1, allow_nan=False),
-        amps2=st.floats(-1, 1, allow_nan=False),
+        amps1=st.floats(-1, 1, allow_nan=False).filter(lambda a: a == 0 or abs(a) >= DROP_TOLERANCE),
+        amps2=st.floats(-1, 1, allow_nan=False).filter(lambda a: a == 0 or abs(a) >= DROP_TOLERANCE),
     )
     @settings(max_examples=60)
     def test_linearity(self, v1, v2, amps1, amps2):
